@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EigenGapTooSmallError, NotHermitianError
 from .numerics import HERMITICITY_RTOL, max_abs
@@ -118,12 +117,14 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     """Instantaneous eigenframes at every grid time.
 
     With model-supplied analytic frames they are taken verbatim. Otherwise
-    each grid point is eigendecomposed and levels are matched to the previous
-    frame by maximal overlap, with each eigenvector phase rotated so the
-    overlap with its predecessor is real and non-negative (continuity gauge).
+    each grid point is eigendecomposed; level n is the n-th eigenvalue in
+    ascending order, and each eigenvector phase is rotated so the overlap
+    with its predecessor is real and positive (continuity gauge).
 
-    Raises EigenGapTooSmallError when any adjacent-level gap falls below
-    1e-10 * ||H||_max (level crossings are unsupported).
+    Raises NotHermitianError on non-finite or non-Hermitian samples, and
+    EigenGapTooSmallError when an adjacent-level gap falls below
+    1e-10 * ||H||_max (crossings are unsupported) or an overlap
+    |<v_{k-1,n}|v_{k,n}>| is at most 1/sqrt(2) (under-resolved grid).
     """
     times = grid.times
     n = spec.dim
@@ -146,24 +147,26 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
         hams[k] = spec.evaluate(t)
     scale = max_abs(hams)
     defect = np.max(np.abs(hams - hams.conj().transpose(0, 2, 1)))
-    if defect > HERMITICITY_RTOL * scale:
+    if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
-            f"spec.evaluate not Hermitian on grid: defect {defect:.3e} vs scale {scale:.3e}"
+            f"spec.evaluate non-finite or non-Hermitian: defect {defect:.3e} vs scale {scale:.3e}"
         )
 
     energies, vectors = np.linalg.eigh(hams)
     _check_gaps(energies, scale)
 
-    # Sequential continuity gauge: match levels by maximal overlap, then fix phases.
-    for k in range(1, len(times)):
-        overlap = vectors[k - 1].conj().T @ vectors[k]
-        _, cols = linear_sum_assignment(-np.abs(overlap))
-        vectors[k] = vectors[k][:, cols]
-        energies[k] = energies[k][cols]
-        diag = np.einsum("in,in->n", vectors[k - 1].conj(), vectors[k])
-        mag = np.abs(diag)
-        phase = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
-        vectors[k] = vectors[k] * phase.conj()
+    # Continuity gauge: multiply level n at step k by the conjugate phases of the
+    # overlaps <v_{j-1,n}|v_{j,n}>, j <= k. An overlap above 1/sqrt(2) is the unique
+    # maximum of its unit-norm column, so the ascending eigh order labels the levels.
+    overlaps = np.einsum("kin,kin->kn", vectors[:-1].conj(), vectors[1:])
+    under = np.abs(overlaps) <= 2**-0.5
+    if under.any():
+        k, m = np.argwhere(under)[0]
+        raise EigenGapTooSmallError(
+            f"level {m} overlap {abs(overlaps[k, m]):.3e} <= 1/sqrt(2) at grid index {k + 1}: "
+            "under-resolved grid"
+        )
+    vectors[1:] *= np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))[:, None, :]
 
     return FrameTrajectory(grid, energies, vectors, Gauge.CONTINUITY)
 

@@ -61,6 +61,8 @@ def test_validate_never_raises_on_garbage():
     assert validate("not a dict") == ["config must be a JSON object"]
     assert validate({"model": 7, "grid": []}, command="criteria")
     assert validate({"model": {"model": "rotating", "mu_B": "x", "theta": None}}, command="criteria")
+    huge_n = {"model": "ms_second", "omega0": 1.0, "tau": 1.0, "n": 10**400}
+    assert validate({"model": huge_n, "grid": {}}, command="holonomy")
 
 
 def test_criteria_command_verdicts(tmp_path, capsys):
@@ -218,6 +220,31 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdicts"]["naive"] is True
+
+
+def test_ms_second_regime_mismatch_is_a_config_error(tmp_path):
+    # omega0 off by a relative 1e-10 from 2 * n * (2*pi/tau), outside the model's rel 1e-12
+    omega0 = 2 * 2 * (2 * np.pi / 1.0) * (1 + 1e-10)
+    config = {
+        "model": {"model": "ms_second", "omega0": omega0, "tau": 1.0, "n": 2},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 64},
+    }
+    path = write_config(tmp_path, config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "adiabatica.cli", "holonomy", "--config", path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "invalid config" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, adiabatica.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_csv_floats_have_17_significant_digits(tmp_path):

@@ -16,7 +16,7 @@ from adiabatica import (
     ms_second_model,
     rotating_model,
 )
-from adiabatica.models import SIGMA_Z
+from adiabatica.models import SIGMA_X, SIGMA_Z
 
 from conftest import random_smooth_spec
 
@@ -195,6 +195,29 @@ def test_non_hermitian_spec_raises():
         build_frames(HamiltonianSpec(dim=2, evaluate=evaluate), TimeGrid(0.0, 1.0, 16))
 
 
+def test_non_finite_spec_raises():
+    def evaluate(t: float) -> np.ndarray:
+        value = np.nan if t > 0.5 else 1.0
+        return np.array([[value, 0.2], [0.2, -1.0]], dtype=complex)
+
+    with pytest.raises(NotHermitianError):
+        build_frames(HamiltonianSpec(dim=2, evaluate=evaluate), TimeGrid(0.0, 1.0, 16))
+
+
+def test_under_resolved_grid_raises():
+    # Constant gap 2, but the eigenvectors turn by a * dt / 2 = 1.25 rad (> 45 deg) per step.
+    a = 40.0
+
+    def evaluate(t: float) -> np.ndarray:
+        return np.cos(a * t) * SIGMA_Z + np.sin(a * t) * SIGMA_X
+
+    spec = HamiltonianSpec(dim=2, evaluate=evaluate)
+    with pytest.raises(EigenGapTooSmallError, match="grid index 1: under-resolved grid"):
+        build_frames(spec, TimeGrid(0.0, 1.0, 16))
+    frames = build_frames(spec, TimeGrid(0.0, 1.0, 256))
+    assert np.allclose(frames.energies, np.tile([-1.0, 1.0], (257, 1)))
+
+
 def test_continuity_overlaps_real_positive(rng):
     spec = random_smooth_spec(rng, 3)
     frames = build_frames(spec, TimeGrid(0.0, 1.0, 128))
@@ -202,6 +225,29 @@ def test_continuity_overlaps_real_positive(rng):
         ov = np.einsum("in,in->n", frames.vectors[k - 1].conj(), frames.vectors[k])
         assert np.all(ov.real > 0)
         assert np.all(np.abs(ov.imag) <= 1e-10 * np.abs(ov))
+
+
+def sequential_matched_frames(hams: np.ndarray) -> np.ndarray:
+    """Reference continuity gauge: per-step level matching by maximal overlap, then rephasing."""
+    from scipy.optimize import linear_sum_assignment
+
+    _, vectors = np.linalg.eigh(hams)
+    for k in range(1, len(hams)):
+        _, cols = linear_sum_assignment(-np.abs(vectors[k - 1].conj().T @ vectors[k]))
+        vectors[k] = vectors[k][:, cols]
+        diag = np.einsum("in,in->n", vectors[k - 1].conj(), vectors[k])
+        vectors[k] = vectors[k] * (diag / np.abs(diag)).conj()
+    return vectors
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_continuity_gauge_matches_sequential_reference(rng, dim):
+    spec = random_smooth_spec(rng, dim)
+    grid = TimeGrid(0.0, 4.0, 512)
+    frames = build_frames(spec, grid)
+    hams = np.array([spec.evaluate(t) for t in grid.times])
+    # 512 rephasings of unit-modulus factors: rounding stays far below 1e-11
+    assert max_abs(frames.vectors - sequential_matched_frames(hams)) < 1e-11
 
 
 def test_frame_orthonormality(rng):
