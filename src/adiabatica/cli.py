@@ -27,6 +27,8 @@ from .models import (
     mixing_angle,
     ms_candidate_evolution,
     ms_second_model,
+    rotating_dynamical_phase,
+    rotating_geometric_phase,
     rotating_model,
 )
 from .phases import holonomy, ms_inconsistency_probe, phase_split
@@ -45,15 +47,52 @@ GRID_KEYS = {"t_start", "t_end", "steps"}
 SWEEP_KEYS = {"ratio_min", "ratio_max", "points"}
 MODEL_NAMES = ("rotating", "ms_second", "barred_rotating")
 GRIDLESS_COMMANDS = ("sweep",)
+MAX_STEPS = 2**20  # bound on grid steps and sweep points, checked before anything is allocated
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_float(x: float) -> str:
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if math.isnan(x):
+        return "NaN"
+    return _fmt(x)
+
+
+def _float_block(
+    block: np.ndarray, head: str, sep: str, tail: str, json_floats: bool = False
+) -> str:
+    """Every row of a 2-D float array as head + sep-joined floats + tail, concatenated.
+
+    One bulk "%.17g" pass gives each float the bytes of format(x, ".17g"); with
+    json_floats, non-finite values become Infinity, -Infinity and NaN.
+    """
+    rows, cols = block.shape
+    values, cell = block.ravel().tolist(), "%.17g"
+    if json_floats and not np.isfinite(block).all():
+        values, cell = [_json_float(x) for x in values], "%s"
+    return (head + sep.join([cell] * cols) + tail) * rows % tuple(values)
+
+
 def _to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with insertion-order keys and 17-significant-digit floats."""
+    """Deterministic JSON with insertion-order keys and 17-significant-digit floats.
+
+    1-D and 2-D float arrays render as nested lists through _float_block.
+    """
     pad = "  " * indent
+    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
+        inner = pad + "  "
+        if obj.ndim == 1:
+            text = _float_block(obj[:, None], inner, "", ",\n", json_floats=True)
+        else:
+            row_sep = ",\n" + inner + "  "
+            text = _float_block(
+                obj, inner + "[" + row_sep[1:], row_sep, "\n" + inner + "],\n", json_floats=True
+            )
+        return "[\n" + text[:-2] + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -71,18 +110,17 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        if math.isnan(x):
-            return "NaN"
-        return _fmt(x)
+        return _json_float(float(obj))
     if obj is None:
         return "null"
     return json.dumps(str(obj))
 
 
-def _to_csv(header: list[str], rows: list[list]) -> str:
+def _to_csv(header: list[str], rows) -> str:
+    """CSV text; rows is a 2-D float array or a list of mixed-type rows."""
+    if isinstance(rows, np.ndarray):
+        return ",".join(header) + "\n" + _float_block(rows, "", ",", "\n")
+
     def render(v) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -96,7 +134,8 @@ def _to_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite JSON number that converts to a float; integers beyond the float range are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def validate(config: dict, command: Optional[str] = None) -> list[str]:
@@ -166,8 +205,8 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
                 out.append("ratio_min must be positive")
             if not (_is_number(hi) and _is_number(lo) and hi > lo):
                 out.append("ratio_max must exceed ratio_min")
-            if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-                out.append("points must be an integer >= 2")
+            if type(points) is not int or not 2 <= points <= MAX_STEPS:
+                out.append("points must be an integer in [2, 2**20]")
     elif "sweep" in config:
         out.append("sweep block is only valid for the sweep command")
 
@@ -188,8 +227,8 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             out.append("t_start must be a number")
         if not _is_number(t_end) or (_is_number(t_start) and not t_end > t_start):
             out.append("t_end must be a number greater than t_start")
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 16:
-            out.append("steps must be an integer >= 16")
+        if type(steps) is not int or not 16 <= steps <= MAX_STEPS:
+            out.append("steps must be an integer in [16, 2**20]")
     elif grid is not None and not isinstance(grid, dict):
         out.append("grid block must be an object")
 
@@ -243,44 +282,29 @@ def _frames_pipeline(config: dict):
 
 def run_simulate(config: dict):
     grid, spec, _, frames, conn = _frames_pipeline(config)
-    levels = list(range(spec.dim))
-    result = propagate(spec, grid, levels, frames=frames)
-    dt = grid.dt
-    dyn = {n: accumulate_trapezoid(frames.energies[:, n], dt) for n in levels}
-    geo = {n: accumulate_trapezoid(conn.values[:, n, n].real, dt) for n in levels}
-
-    header = ["t"]
+    levels = range(spec.dim)
+    result = propagate(spec, grid, list(levels), frames=frames)
+    header, columns, entries = ["t"], [grid.times], []
     for n in levels:
-        header += [f"psi{n}_re_{i}" for i in range(spec.dim)]
-        header += [f"psi{n}_im_{i}" for i in range(spec.dim)]
-        header += [f"prob{n}_{m}" for m in range(spec.dim)]
-        header += [f"phase_dyn_{n}", f"phase_geo_{n}"]
-    rows = []
-    for k, t in enumerate(grid.times):
-        row = [t]
-        for n in levels:
-            state = result.states[n][k]
-            row += list(state.real) + list(state.imag)
-            row += list(np.abs(result.coefficients[n][k]) ** 2)
-            row += [dyn[n][k], geo[n][k]]
-        rows.append(row)
-
-    payload = {
-        "command": "simulate",
-        "times": list(grid.times),
-        "levels": [
+        psi = result.states[n]
+        prob = np.abs(result.coefficients[n]) ** 2
+        dyn = accumulate_trapezoid(frames.energies[:, n], grid.dt)
+        geo = accumulate_trapezoid(conn.values[:, n, n].real, grid.dt)
+        header += [f"psi{n}_re_{i}" for i in levels] + [f"psi{n}_im_{i}" for i in levels]
+        header += [f"prob{n}_{m}" for m in levels] + [f"phase_dyn_{n}", f"phase_geo_{n}"]
+        columns += [psi.real, psi.imag, prob, dyn, geo]
+        entries.append(
             {
                 "level": n,
-                "psi_re": [list(v.real) for v in result.states[n]],
-                "psi_im": [list(v.imag) for v in result.states[n]],
-                "probabilities": [list(np.abs(c) ** 2) for c in result.coefficients[n]],
-                "phase_dynamical": list(dyn[n]),
-                "phase_geometric": list(geo[n]),
+                "psi_re": psi.real,
+                "psi_im": psi.imag,
+                "probabilities": prob,
+                "phase_dynamical": dyn,
+                "phase_geometric": geo,
             }
-            for n in levels
-        ],
-    }
-    return payload, header, rows
+        )
+    payload = {"command": "simulate", "times": grid.times, "levels": entries}
+    return payload, header, np.column_stack(columns)
 
 
 def run_criteria(config: dict):
@@ -331,22 +355,22 @@ def run_ms_probe(config: dict):
     grid = _build_grid(config)
     spec, _ = _build_spec(config, grid)
     report = ms_inconsistency_probe(spec, grid, level=0)
-    header = ["t", "chain_re", "chain_im", "chain_abs", "residual"]
-    rows = [
-        [t, c.real, c.imag, abs(c), r]
-        for t, c, r in zip(report.times, report.chain, report.residual)
-    ]
+    chain = report.chain
+    columns = {
+        "times": report.times,
+        "chain_re": chain.real,
+        "chain_im": chain.imag,
+        "chain_abs": np.hypot(chain.real, chain.imag),  # the bytes of scalar abs(), unlike np.abs
+        "residual": report.residual,
+    }
     payload = {
         "command": "ms-probe",
         "level": report.level,
         "phase_convention": report.phase_convention,
-        "times": list(report.times),
-        "chain_re": list(report.chain.real),
-        "chain_im": list(report.chain.imag),
-        "chain_abs": [abs(c) for c in report.chain],
-        "residual": list(report.residual),
+        **columns,
     }
-    return payload, header, rows
+    header = ["t", "chain_re", "chain_im", "chain_abs", "residual"]
+    return payload, header, np.column_stack(list(columns.values()))
 
 
 def run_composition_check(config: dict):
@@ -395,27 +419,13 @@ def run_sweep(config: dict):
     rows = []
     for r in ratios:
         params = RotatingModelParams(mu_B=mu_B, theta=theta, omega=float(r * mu_B))
-        a = mixing_angle(params)
-        c = math.cos(theta - a)
-        T = params.period
         rows.append(
-            [
-                float(r),
-                params.omega,
-                a,
-                math.pi * (1 + c),
-                math.pi * (1 - c),
-                -mu_B * math.cos(a) * T,
-                +mu_B * math.cos(a) * T,
-            ]
+            [float(r), params.omega, mixing_angle(params)]
+            + [rotating_geometric_phase(params, n) for n in (0, 1)]
+            + [rotating_dynamical_phase(params, n) for n in (0, 1)]
         )
-    payload = {
-        "command": "sweep",
-        "mu_B": mu_B,
-        "theta": theta,
-        "columns": header,
-        "rows": [list(row) for row in rows],
-    }
+    rows = np.array(rows)
+    payload = {"command": "sweep", "mu_B": mu_B, "theta": theta, "columns": header, "rows": rows}
     return payload, header, rows
 
 

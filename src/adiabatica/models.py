@@ -22,8 +22,21 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _dot_sigma(r: np.ndarray) -> np.ndarray:
-    return r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z
+def _dot_sigma(r) -> np.ndarray:
+    """r[0] sigma_x + r[1] sigma_y + r[2] sigma_z; array components give a stack.
+
+    Scalar components multiply the matrices directly, the cheapest form for
+    the per-time calls of unbatched sampling.
+    """
+    x, y, z = (c[..., None, None] if isinstance(c, np.ndarray) else c for c in r)
+    return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+
+
+def _matrix2(a, b, c, d) -> np.ndarray:
+    """Complex [[a, b], [c, d]], broadcast over the entries' shape."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,23 +78,25 @@ def mixing_angle(params: RotatingModelParams) -> float:
 
 
 def rotating_model(params: RotatingModelParams) -> HamiltonianSpec:
-    """H(t) = -mu_B * (unit field direction(t) . sigma), with analytic frames."""
+    """H(t) = -mu_B * (unit field direction(t) . sigma), with analytic frames.
+
+    evaluate and the frame take a scalar time or an array of times.
+    """
     muB, theta, omega = params.mu_B, params.theta, params.omega
     ct, st = math.cos(theta), math.sin(theta)
     ch, sh = math.cos(theta / 2), math.sin(theta / 2)
 
-    def evaluate(t: float) -> np.ndarray:
+    def evaluate(t):
         phi = omega * t
-        direction = np.array([st * math.cos(phi), st * math.sin(phi), ct])
-        return -muB * _dot_sigma(direction)
+        return -muB * _dot_sigma((st * np.cos(phi), st * np.sin(phi), ct))
 
-    def frame(t: float):
+    def frame(t):
         e = np.exp(-1j * omega * t)
-        vectors = np.array([[ch * e, sh * e], [sh, -ch]])
-        derivs = np.array([[-1j * omega * ch * e, -1j * omega * sh * e], [0.0, 0.0]])
-        return np.array([-muB, muB]), vectors, derivs
+        vectors = _matrix2(ch * e, sh * e, sh, -ch)
+        derivs = _matrix2(-1j * omega * ch * e, -1j * omega * sh * e, 0.0, 0.0)
+        return np.full(e.shape + (2,), [-muB, muB]), vectors, derivs
 
-    return HamiltonianSpec(dim=2, evaluate=evaluate, analytic_frame=frame)
+    return HamiltonianSpec(dim=2, evaluate=evaluate, analytic_frame=frame, batched=True)
 
 
 def _mixed_frame(params: RotatingModelParams, alpha: float, t: float) -> np.ndarray:
@@ -152,37 +167,30 @@ def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
 
     U is accumulated at half steps of the grid so the returned spec can be
     evaluated both at grid points and at the midpoints the integrator uses;
-    other times raise ValueError. When the base supplies analytic frames, the
-    returned spec does too: vectors U^dag v_n with energies -E_n.
+    other times raise ValueError. The returned spec is batched when the base
+    is. When the base supplies analytic frames, the returned spec does too:
+    vectors U^dag v_n with energies -E_n.
     """
     half_grid = TimeGrid(grid.t_start, grid.t_end, 2 * grid.steps)
     table = stepping_propagators(base, half_grid)
-    half_dt = half_grid.dt
 
-    def locate(t: float) -> int:
-        j = round((t - grid.t_start) / half_dt)
-        if not 0 <= j <= half_grid.steps or abs(
-            grid.t_start + j * half_dt - t
-        ) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is outside the stored propagator table")
-        return j
-
-    def evaluate(t: float) -> np.ndarray:
-        U = table[locate(t)]
-        return -U.conj().T @ base.evaluate(t) @ U
+    def evaluate(t):
+        U = table[half_grid.index_of(t)]
+        return -U.conj().swapaxes(-1, -2) @ base.evaluate(t) @ U
 
     frame = None
     if base.analytic_frame is not None:
 
-        def frame(t: float):
+        def frame(t):
             energies, vectors, derivs = base.analytic_frame(t)
-            U = table[locate(t)]
-            barred_vectors = U.conj().T @ vectors
+            U_dag = table[half_grid.index_of(t)].conj().swapaxes(-1, -2)
             # d/dt (U^dag v_n) = i E_n U^dag v_n + U^dag dv_n/dt
-            barred_derivs = U.conj().T @ (1j * vectors * energies + derivs)
-            return -energies, barred_vectors, barred_derivs
+            barred_derivs = U_dag @ (1j * vectors * energies[..., None, :] + derivs)
+            return -energies, U_dag @ vectors, barred_derivs
 
-    return HamiltonianSpec(dim=base.dim, evaluate=evaluate, analytic_frame=frame)
+    return HamiltonianSpec(
+        dim=base.dim, evaluate=evaluate, analytic_frame=frame, batched=base.batched
+    )
 
 
 @dataclass(frozen=True)
@@ -218,16 +226,16 @@ class MSSecondModelParams:
         return cls(omega_0=2 * n * (2 * math.pi / tau), tau=tau, regime_n=n)
 
 
-def _ms_field(params: MSSecondModelParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Field vector R(t) and its analytic time derivative."""
+def _ms_field(params: MSSecondModelParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Field vector R(t) and its analytic time derivative, shape (3,) + shape of t."""
     w0, w = params.omega_0, params.omega
-    s2, c2 = math.sin(2 * w0 * t), math.cos(2 * w0 * t)
-    s, c = math.sin(w * t), math.cos(w * t)
+    s2, c2 = np.sin(2 * w0 * t), np.cos(2 * w0 * t)
+    s, c = np.sin(w * t), np.cos(w * t)
     r = np.array(
         [
             w0 * c - 0.5 * w * s * s2,
             w0 * s + 0.5 * w * c * s2,
-            w * math.sin(w0 * t) ** 2,
+            w * np.sin(w0 * t) ** 2,
         ]
     )
     rdot = np.array(
@@ -245,37 +253,34 @@ def ms_second_model(params: MSSecondModelParams) -> HamiltonianSpec:
 
     Analytic frames come from the spherical angles of R(t) (azimuth taken
     continuously in t through its derivative), with energies +/-|R(t)|.
+    evaluate and the frame take a scalar time or an array of times.
     """
 
-    def evaluate(t: float) -> np.ndarray:
-        r, _ = _ms_field(params, t)
-        return _dot_sigma(r)
+    def evaluate(t):
+        return _dot_sigma(_ms_field(params, t)[0])
 
-    def frame(t: float):
+    def frame(t):
         r, rdot = _ms_field(params, t)
-        rn = float(np.linalg.norm(r))
-        rndot = float(r @ rdot) / rn
-        rho = math.hypot(r[0], r[1])  # >= omega_0 > 0, no polar singularity
-        big_theta = math.acos(r[2] / rn)
+        rn = np.sqrt(np.sum(r * r, axis=0))
+        rndot = np.sum(r * rdot, axis=0) / rn
+        rho = np.hypot(r[0], r[1])  # >= omega_0 > 0, no polar singularity
+        big_theta = np.arccos(r[2] / rn)
         theta_dot = (r[2] * rndot - rdot[2] * rn) / (rn * rn * (rho / rn))
-        phi = math.atan2(r[1], r[0])
+        phi = np.arctan2(r[1], r[0])
         phi_dot = (r[0] * rdot[1] - r[1] * rdot[0]) / (rho * rho)
 
         e = np.exp(-1j * phi)
-        ch, sh = math.cos(big_theta / 2), math.sin(big_theta / 2)
-        vectors = np.array([[ch * e, sh * e], [sh, -ch]])
-        derivs = np.array(
-            [
-                [
-                    (-0.5 * theta_dot * sh - 1j * phi_dot * ch) * e,
-                    (0.5 * theta_dot * ch - 1j * phi_dot * sh) * e,
-                ],
-                [0.5 * theta_dot * ch, 0.5 * theta_dot * sh],
-            ]
+        ch, sh = np.cos(big_theta / 2), np.sin(big_theta / 2)
+        vectors = _matrix2(ch * e, sh * e, sh, -ch)
+        derivs = _matrix2(
+            (-0.5 * theta_dot * sh - 1j * phi_dot * ch) * e,
+            (0.5 * theta_dot * ch - 1j * phi_dot * sh) * e,
+            0.5 * theta_dot * ch,
+            0.5 * theta_dot * sh,
         )
-        return np.array([rn, -rn]), vectors, derivs
+        return np.stack([rn, -rn], axis=-1), vectors, derivs
 
-    return HamiltonianSpec(dim=2, evaluate=evaluate, analytic_frame=frame)
+    return HamiltonianSpec(dim=2, evaluate=evaluate, analytic_frame=frame, batched=True)
 
 
 def ms_candidate_evolution(

@@ -22,8 +22,18 @@ def max_abs(M: np.ndarray) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
-def hermiticity_defect(H: np.ndarray) -> float:
-    return max_abs(H - H.conj().T)
+def require_hermitian_batch(hams: np.ndarray, rtol: float = HERMITICITY_RTOL) -> float:
+    """Raise NotHermitianError unless a (K, N, N) stack is finite and Hermitian.
+
+    The tolerance is rtol * ||stack||_max; returns that max-modulus scale.
+    """
+    scale = max_abs(hams)
+    defect = max_abs(hams - hams.conj().swapaxes(-1, -2))
+    if not np.isfinite(scale) or defect > rtol * scale:
+        raise NotHermitianError(
+            f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
+        )
+    return scale
 
 
 def require_hermitian(H: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
@@ -31,13 +41,7 @@ def require_hermitian(H: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise NotHermitianError("matrix contains non-finite entries")
-    scale = max_abs(H)
-    if hermiticity_defect(H) > rtol * scale:
-        raise NotHermitianError(
-            f"Hermiticity defect {hermiticity_defect(H):.3e} exceeds {rtol:.1e} * {scale:.3e}"
-        )
+    require_hermitian_batch(H[None], rtol)
 
 
 @dataclass(frozen=True)

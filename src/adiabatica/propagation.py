@@ -13,21 +13,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .errors import AdiabaticaError, NotHermitianError
-from .numerics import HERMITICITY_RTOL, max_abs
+from .errors import AdiabaticaError
+from .numerics import max_abs, require_hermitian_batch
 from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, build_frames
 
 UNITARITY_RTOL = 1e-10
 
 
-def _batch_expstep(hams: np.ndarray, dt: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """exp(-i * dt * H) for a stack of Hermitian matrices."""
-    defect = np.max(np.abs(hams - hams.conj().transpose(0, 2, 1)))
-    scale = max_abs(hams)
-    if defect > rtol * scale:
-        raise NotHermitianError(
-            f"midpoint Hamiltonian samples not Hermitian: defect {defect:.3e} vs scale {scale:.3e}"
-        )
+def _batch_expstep(hams: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i * dt * H) for a stack of Hermitian matrices; NotHermitianError otherwise."""
+    require_hermitian_batch(hams)
     w, V = np.linalg.eigh(hams)
     return np.einsum("kij,kj,klj->kil", V, np.exp(-1j * dt * w), V.conj())
 
@@ -49,18 +44,6 @@ def _effective_steps(eff: EffectiveHamiltonian) -> np.ndarray:
     return _batch_expstep(mids, eff.grid.dt)
 
 
-def _grid_locator(grid: TimeGrid) -> Callable[[float], int]:
-    def locate(t: float) -> int:
-        k = round((t - grid.t_start) / grid.dt)
-        if not 0 <= k <= grid.steps or abs(grid.t_start + k * grid.dt - t) > 1e-9 * max(
-            1.0, abs(t)
-        ):
-            raise ValueError(f"time {t} is not a grid sample")
-        return k
-
-    return locate
-
-
 @dataclass(frozen=True)
 class PropagationResult:
     """Stepping propagators with states and instantaneous-basis coefficients.
@@ -77,15 +60,13 @@ class PropagationResult:
 
 
 def stepping_propagators(spec: HamiltonianSpec, grid: TimeGrid) -> np.ndarray:
-    """Accumulated midpoint-exponential propagators U(t_k, t_start), shape (steps+1, N, N)."""
-    times = grid.times
-    dt = grid.dt
-    n = spec.dim
+    """Accumulated midpoint-exponential propagators U(t_k, t_start), shape (steps+1, N, N).
 
-    mids = np.empty((grid.steps, n, n), dtype=complex)
-    for k in range(grid.steps):
-        mids[k] = spec.evaluate(times[k] + dt / 2)
-    propagators = _accumulate(_batch_expstep(mids, dt))
+    Raises NotHermitianError when a midpoint sample is non-finite or not Hermitian.
+    """
+    n = spec.dim
+    mids = spec.sample(grid.times[:-1] + grid.dt / 2)
+    propagators = _accumulate(_batch_expstep(mids, grid.dt))
 
     drift = max_abs(
         np.einsum("kij,kil->kjl", propagators.conj(), propagators) - np.eye(n)
@@ -145,7 +126,7 @@ def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
 def coefficient_evolution(eff: EffectiveHamiltonian) -> Callable[[float, float], np.ndarray]:
     """Two-time coefficient-space evolution generated by M(t), for grid sample times."""
     S = _accumulate(_effective_steps(eff))
-    locate = _grid_locator(eff.grid)
+    locate = eff.grid.index_of
 
     def evolution(t2: float, t1: float) -> np.ndarray:
         return S[locate(t2)] @ S[locate(t1)].conj().T
@@ -170,7 +151,7 @@ def stepping_evolution(result: PropagationResult) -> Callable[[float, float], np
 
     Both times must coincide with grid samples.
     """
-    locate = _grid_locator(result.grid)
+    locate = result.grid.index_of
 
     def evolution(t2: float, t1: float) -> np.ndarray:
         return result.propagators[locate(t2)] @ result.propagators[locate(t1)].conj().T

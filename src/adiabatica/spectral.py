@@ -13,8 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EigenGapTooSmallError, NotHermitianError
-from .numerics import HERMITICITY_RTOL, max_abs
+from .errors import EigenGapTooSmallError
+from .numerics import require_hermitian_batch
 
 GAP_FLOOR_RTOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -42,6 +42,19 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps + 1)
 
+    def index_of(self, t):
+        """Grid index of each sample time in t (a scalar or an array of times).
+
+        Raises ValueError when a time is not a grid sample (relative tolerance 1e-9).
+        """
+        t = np.asarray(t, dtype=float)
+        k = np.rint((t - self.t_start) / self.dt)
+        on_grid = (0 <= k) & (k <= self.steps)
+        on_grid &= np.abs(self.t_start + k * self.dt - t) <= 1e-9 * np.maximum(1.0, np.abs(t))
+        if not on_grid.all():
+            raise ValueError(f"time {t[~on_grid].flat[0]} is not a grid sample")
+        return k.astype(int) if k.ndim else int(k)
+
     def same_as(self, other: "TimeGrid") -> bool:
         return (
             self.t_start == other.t_start
@@ -50,18 +63,37 @@ class TimeGrid:
         )
 
 
-# An analytic frame callable maps t -> (energies (N,), eigenvector columns (N, N),
-# eigenvector time-derivative columns (N, N)).
-AnalyticFrame = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# An analytic frame callable maps a 1-D array of K times to (energies (K, N),
+# eigenvector columns (K, N, N), eigenvector time-derivative columns (K, N, N)).
+AnalyticFrame = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Time-dependent N x N Hermitian matrix, optionally with analytic eigenframes."""
+    """Time-dependent N x N Hermitian matrix, optionally with analytic eigenframes.
+
+    evaluate(t) returns H(t) for a scalar time. With batched=True it must also
+    accept a 1-D array of K times and return the (K, N, N) stack in one call.
+    analytic_frame, when given, is always called once with the array of grid
+    times (see AnalyticFrame).
+    """
 
     dim: int
     evaluate: Callable[[float], np.ndarray]
     analytic_frame: Optional[AnalyticFrame] = None
+    batched: bool = False
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """H at each of the K times, shape (K, N, N): one batched call or a scalar loop."""
+        if self.batched:
+            hams = np.asarray(self.evaluate(times), dtype=complex)
+            if hams.shape != (len(times), self.dim, self.dim):
+                raise ValueError(f"batched evaluate gave shape {hams.shape} for {len(times)} times")
+            return hams
+        hams = np.empty((len(times), self.dim, self.dim), dtype=complex)
+        for k, t in enumerate(times):
+            hams[k] = self.evaluate(t)
+        return hams
 
 
 class Gauge(Enum):
@@ -116,10 +148,12 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     """Instantaneous eigenframes at every grid time.
 
-    With model-supplied analytic frames they are taken verbatim. Otherwise
-    each grid point is eigendecomposed; level n is the n-th eigenvalue in
-    ascending order, and each eigenvector phase is rotated so the overlap
-    with its predecessor is real and positive (continuity gauge).
+    With model-supplied analytic frames they are taken verbatim from one call
+    on the whole time array. Otherwise H is sampled with spec.sample (one
+    call for batched specs) and each grid point is eigendecomposed; level n
+    is the n-th eigenvalue in ascending order, and each eigenvector phase is
+    rotated so the overlap with its predecessor is real and positive
+    (continuity gauge).
 
     Raises NotHermitianError on non-finite or non-Hermitian samples, and
     EigenGapTooSmallError when an adjacent-level gap falls below
@@ -127,31 +161,14 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     |<v_{k-1,n}|v_{k,n}>| is at most 1/sqrt(2) (under-resolved grid).
     """
     times = grid.times
-    n = spec.dim
-
     if spec.analytic_frame is not None:
-        energies = np.empty((len(times), n))
-        vectors = np.empty((len(times), n, n), dtype=complex)
-        derivs = np.empty((len(times), n, n), dtype=complex)
-        for k, t in enumerate(times):
-            e, v, dv = spec.analytic_frame(t)
-            energies[k] = e
-            vectors[k] = v
-            derivs[k] = dv
+        energies, vectors, derivs = spec.analytic_frame(times)
         _check_orthonormal(vectors)
         _check_gaps(energies, float(np.max(np.abs(energies))))
         return FrameTrajectory(grid, energies, vectors, Gauge.MODEL_ANALYTIC, derivs)
 
-    hams = np.empty((len(times), n, n), dtype=complex)
-    for k, t in enumerate(times):
-        hams[k] = spec.evaluate(t)
-    scale = max_abs(hams)
-    defect = np.max(np.abs(hams - hams.conj().transpose(0, 2, 1)))
-    if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
-        raise NotHermitianError(
-            f"spec.evaluate non-finite or non-Hermitian: defect {defect:.3e} vs scale {scale:.3e}"
-        )
-
+    hams = spec.sample(times)
+    scale = require_hermitian_batch(hams)
     energies, vectors = np.linalg.eigh(hams)
     _check_gaps(energies, scale)
 

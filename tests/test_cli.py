@@ -63,6 +63,25 @@ def test_validate_never_raises_on_garbage():
     assert validate({"model": {"model": "rotating", "mu_B": "x", "theta": None}}, command="criteria")
     huge_n = {"model": "ms_second", "omega0": 1.0, "tau": 1.0, "n": 10**400}
     assert validate({"model": huge_n, "grid": {}}, command="holonomy")
+    huge_mu = rotating_config()
+    huge_mu["model"]["mu_B"] = 10**400
+    assert validate(huge_mu, command="criteria") == ["mu_B must be a positive number"]
+
+
+def test_exit_code_2_on_integer_beyond_float_range(tmp_path, capsys):
+    config = rotating_config()
+    config["model"]["mu_B"] = 10**400
+    assert main(["criteria", "--config", write_config(tmp_path, config)]) == 2
+    assert "mu_B must be a positive number" in capsys.readouterr().err
+
+
+def test_validate_steps_maximum_before_allocation():
+    config = rotating_config()
+    config["grid"]["steps"] = 2**20
+    assert validate(config, command="criteria") == []
+    for steps in (2**20 + 1, 10**400):
+        config["grid"]["steps"] = steps
+        assert validate(config, command="criteria") == ["steps must be an integer in [16, 2**20]"]
 
 
 def test_criteria_command_verdicts(tmp_path, capsys):

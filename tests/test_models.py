@@ -317,3 +317,58 @@ def test_candidate_violates_composition():
 
     # doubling form with t = 0.3: U(0.6, 0) vs U(0.6, 0.3) U(0.3, 0)
     assert composition_check(evolution, [(0.0, 0.3, 0.6)]) > 0.1
+
+
+BUILTIN_MODELS = ["rotating", "barred", "ms_second"]
+
+
+def builtin_spec(name):
+    """(spec, grid, relative tolerance of batched against scalar sampling)."""
+    if name == "ms_second":
+        spec = ms_second_model(MSSecondModelParams.from_regime(10, 6.3))
+        return spec, TimeGrid(0.0, 6.3, 256), 1e-15
+    params = RotatingModelParams(mu_B=1.0, theta=1.1, omega=0.37)
+    grid = TimeGrid(0.0, params.period, 128)
+    spec = rotating_model(params)
+    return (barred_model(spec, grid) if name == "barred" else spec), grid, 0.0
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_batched_sampling_matches_scalar_calls(name):
+    spec, grid, rtol = builtin_spec(name)
+    assert spec.batched
+    times = np.concatenate([grid.times, grid.times[:-1] + grid.dt / 2])
+    stacked = np.array([spec.evaluate(t) for t in times])
+    batched = spec.sample(times)
+    assert batched.shape == stacked.shape
+    assert max_abs(batched - stacked) <= rtol * max_abs(stacked)
+
+    scalar = [spec.analytic_frame(t) for t in grid.times]
+    for part, values in enumerate(spec.analytic_frame(grid.times)):
+        reference = np.array([frame[part] for frame in scalar])
+        assert values.shape == reference.shape
+        assert max_abs(values - reference) <= rtol * max_abs(stacked)
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_scalar_analytic_frame_shapes(name):
+    spec, grid, _ = builtin_spec(name)
+    energies, vectors, derivs = spec.analytic_frame(grid.times[3])
+    assert (energies.shape, vectors.shape, derivs.shape) == ((2,), (2, 2), (2, 2))
+    assert spec.evaluate(grid.times[3]).shape == (2, 2)
+
+
+def test_sample_loops_scalar_calls_and_checks_batched_shape():
+    calls = []
+
+    def evaluate(t):
+        calls.append(np.ndim(t))
+        return np.cos(t) * SIGMA_Z + np.sin(t) * SIGMA_X
+
+    spec = HamiltonianSpec(dim=2, evaluate=evaluate)
+    times = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(spec.sample(times), np.array([evaluate(t) for t in times]))
+    assert calls[:5] == [0] * 5
+    static = HamiltonianSpec(dim=2, evaluate=lambda t: SIGMA_Z, batched=True)
+    with pytest.raises(ValueError, match=r"batched evaluate gave shape \(2, 2\) for 5 times"):
+        static.sample(times)

@@ -15,6 +15,7 @@ from adiabatica import (
     max_abs,
     ms_second_model,
     rotating_model,
+    stepping_propagators,
 )
 from adiabatica.models import SIGMA_X, SIGMA_Z
 
@@ -200,8 +201,10 @@ def test_non_finite_spec_raises():
         value = np.nan if t > 0.5 else 1.0
         return np.array([[value, 0.2], [0.2, -1.0]], dtype=complex)
 
-    with pytest.raises(NotHermitianError):
-        build_frames(HamiltonianSpec(dim=2, evaluate=evaluate), TimeGrid(0.0, 1.0, 16))
+    spec = HamiltonianSpec(dim=2, evaluate=evaluate)
+    for stage in (build_frames, stepping_propagators):
+        with pytest.raises(NotHermitianError):
+            stage(spec, TimeGrid(0.0, 1.0, 16))
 
 
 def test_under_resolved_grid_raises():
@@ -256,3 +259,15 @@ def test_frame_orthonormality(rng):
     eye = np.eye(3)
     gram = np.einsum("kij,kil->kjl", frames.vectors.conj(), frames.vectors)
     assert max_abs(gram - eye) < 1e-10
+
+
+def test_index_of_scalar_array_and_off_grid():
+    grid = TimeGrid(1.0, 3.0, 8)
+    assert grid.index_of(grid.times[5]) == 5
+    assert isinstance(grid.index_of(1.0), int)
+    assert np.array_equal(grid.index_of(grid.times[::-1]), np.arange(8, -1, -1))
+    for bad in (1.1, 0.75, 3.25, np.nan):
+        with pytest.raises(ValueError, match="not a grid sample"):
+            grid.index_of(bad)
+    with pytest.raises(ValueError, match="time 1.1 "):
+        grid.index_of(np.array([1.0, 1.1, 2.0]))
