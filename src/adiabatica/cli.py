@@ -207,6 +207,13 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
                 out.append("ratio_max must exceed ratio_min")
             if type(points) is not int or not 2 <= points <= MAX_STEPS:
                 out.append("points must be an integer in [2, 2**20]")
+            if not out:  # a valid rotating model and ratio range: each end drive must be valid too
+                mu_B, theta = float(model["mu_B"]), float(model["theta"])
+                for ratio in (float(lo), float(hi)):
+                    try:
+                        RotatingModelParams(mu_B=mu_B, theta=theta, omega=mu_B * ratio)
+                    except ValueError as exc:
+                        out.append(f"sweep at ratio {ratio!r}: {exc}")
     elif "sweep" in config:
         out.append("sweep block is only valid for the sweep command")
 
@@ -223,12 +230,15 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             if key not in GRID_KEYS:
                 out.append(f"unknown grid key {key!r}")
         t_start, t_end, steps = grid.get("t_start"), grid.get("t_end"), grid.get("steps")
-        if not _is_number(t_start):
-            out.append("t_start must be a number")
-        if not _is_number(t_end) or (_is_number(t_start) and not t_end > t_start):
-            out.append("t_end must be a number greater than t_start")
+        if not (_is_number(t_start) and _is_number(t_end)):
+            out.append("t_start and t_end must be numbers")
         if type(steps) is not int or not 16 <= steps <= MAX_STEPS:
             out.append("steps must be an integer in [16, 2**20]")
+        elif _is_number(t_start) and _is_number(t_end):
+            try:
+                TimeGrid(float(t_start), float(t_end), steps)
+            except ValueError as exc:
+                out.append(f"grid: {exc}")
     elif grid is not None and not isinstance(grid, dict):
         out.append("grid block must be an object")
 

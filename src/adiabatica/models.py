@@ -44,7 +44,8 @@ class RotatingModelParams:
     """Spin in a magnetic field of fixed polar angle rotating uniformly about z.
 
     mu_B is the product of moment and field strength (angular frequency),
-    theta the cone angle in (0, pi), omega the nonzero drive frequency.
+    theta the cone angle in (0, pi), omega the nonzero drive frequency; mu_B
+    and omega must be finite.
     """
 
     mu_B: float
@@ -52,12 +53,12 @@ class RotatingModelParams:
     omega: float
 
     def __post_init__(self):
-        if not self.mu_B > 0:
-            raise ValueError("mu_B must be positive")
+        if not 0 < self.mu_B < math.inf:
+            raise ValueError("mu_B must be positive and finite")
         if not 0 < self.theta < math.pi:
             raise ValueError("theta must lie in (0, pi)")
-        if self.omega == 0:
-            raise ValueError("omega must be nonzero")
+        if not (math.isfinite(self.omega) and self.omega != 0):
+            raise ValueError("omega must be finite and nonzero")
 
     @property
     def period(self) -> float:

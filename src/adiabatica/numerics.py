@@ -22,13 +22,18 @@ def max_abs(M: np.ndarray) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
+def dagger(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack (a copy of the conjugate, transposed view)."""
+    return stack.conj().swapaxes(-1, -2)
+
+
 def require_hermitian_batch(hams: np.ndarray, rtol: float = HERMITICITY_RTOL) -> float:
     """Raise NotHermitianError unless a (K, N, N) stack is finite and Hermitian.
 
     The tolerance is rtol * ||stack||_max; returns that max-modulus scale.
     """
     scale = max_abs(hams)
-    defect = max_abs(hams - hams.conj().swapaxes(-1, -2))
+    defect = max_abs(hams - dagger(hams))
     if not np.isfinite(scale) or defect > rtol * scale:
         raise NotHermitianError(
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"

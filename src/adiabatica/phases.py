@@ -17,7 +17,7 @@ import numpy as np
 from .effective import accumulate_trapezoid, build_effective
 from .errors import NonCyclicWarning
 from .numerics import max_abs
-from .propagation import coefficient_propagate, propagate
+from .propagation import _accumulate, _effective_steps, propagate
 from .spectral import (
     ConnectionMatrix,
     FrameTrajectory,
@@ -157,15 +157,14 @@ def gauge_transform_check(
     tconn = connection(tframes)
     teff = build_effective(tframes, tconn)
 
-    state_devs = np.empty(frames.dim)
+    # Column n of psi[k] is the state started in level n, rebuilt from the
+    # coefficient propagator of each gauge (one accumulation per gauge).
+    psi = frames.vectors @ _accumulate(_effective_steps(eff))
+    psi_t = tframes.vectors @ _accumulate(_effective_steps(teff))
+    rays = np.exp(1j * alphas[0])
+    state_devs = np.max(np.linalg.norm(psi_t - rays * psi, axis=1), axis=0)
     holo_devs = np.empty(frames.dim)
     for n in range(frames.dim):
-        c = coefficient_propagate(eff, n)
-        psi = np.einsum("kim,km->ki", frames.vectors, c)
-        ct = coefficient_propagate(teff, n)
-        psi_t = np.einsum("kim,km->ki", tframes.vectors, ct)
-        ray = np.exp(1j * alphas[0, n])
-        state_devs[n] = np.max(np.linalg.norm(psi_t - ray * psi, axis=1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonCyclicWarning)
             holo_devs[n] = abs(

@@ -7,14 +7,15 @@ differences of continuity-gauged numeric frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EigenGapTooSmallError
-from .numerics import require_hermitian_batch
+from .errors import AdiabaticaError, EigenGapTooSmallError
+from .numerics import dagger, require_hermitian_batch
 
 GAP_FLOOR_RTOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -31,6 +32,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
+        if not all(math.isfinite(x) for x in (self.t_start, self.t_end, self.dt)):
+            raise ValueError("t_start, t_end and the step dt must be finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
 
@@ -140,7 +143,7 @@ def _check_gaps(energies: np.ndarray, scale: float) -> None:
 
 def _check_orthonormal(vectors: np.ndarray) -> None:
     eye = np.eye(vectors.shape[-1])
-    defect = np.max(np.abs(np.einsum("kij,kil->kjl", vectors.conj(), vectors) - eye))
+    defect = np.max(np.abs(dagger(vectors) @ vectors - eye))
     if defect > ORTHONORMALITY_TOL:
         raise ValueError(f"frames not orthonormal: defect {defect:.3e}")
 
@@ -155,7 +158,8 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).
 
-    Raises NotHermitianError on non-finite or non-Hermitian samples, and
+    Raises AdiabaticaError on non-finite analytic energies or vectors,
+    NotHermitianError on non-finite or non-Hermitian samples, and
     EigenGapTooSmallError when an adjacent-level gap falls below
     1e-10 * ||H||_max (crossings are unsupported) or an overlap
     |<v_{k-1,n}|v_{k,n}>| is at most 1/sqrt(2) (under-resolved grid).
@@ -163,6 +167,8 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     times = grid.times
     if spec.analytic_frame is not None:
         energies, vectors, derivs = spec.analytic_frame(times)
+        if not (np.isfinite(energies).all() and np.isfinite(vectors).all()):
+            raise AdiabaticaError("analytic frame has non-finite energies or vectors")
         _check_orthonormal(vectors)
         _check_gaps(energies, float(np.max(np.abs(energies))))
         return FrameTrajectory(grid, energies, vectors, Gauge.MODEL_ANALYTIC, derivs)
@@ -205,5 +211,6 @@ def connection(frames: FrameTrajectory) -> ConnectionMatrix:
         dv = frames.vector_derivatives
     else:
         dv = _time_derivative(frames.vectors, frames.grid.dt)
-    values = 1j * np.einsum("kin,kim->knm", frames.vectors.conj(), dv)
+    values = dagger(frames.vectors) @ dv
+    values *= 1j
     return ConnectionMatrix(frames.grid, values)

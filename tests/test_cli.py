@@ -206,6 +206,46 @@ def test_exit_code_2_on_invalid_config(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def run_cli(tmp_path, command, config):
+    path = write_config(tmp_path, config)
+    return subprocess.run(
+        [sys.executable, "-m", "adiabatica.cli", command, "--config", path],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_exit_code_2_on_grid_with_infinite_step(tmp_path):
+    config = rotating_config()
+    config["grid"].update(t_start=-1e308, t_end=1e308)
+    proc = run_cli(tmp_path, "criteria", config)
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_exit_code_2_on_sweep_drive_overflow(tmp_path):
+    config = {
+        "model": {"model": "rotating", "mu_B": 1e300, "theta": np.pi / 3},
+        "sweep": {"ratio_min": 1.0, "ratio_max": 1e300, "points": 5},
+    }
+    proc = run_cli(tmp_path, "sweep", config)
+    assert proc.returncode == 2
+    assert "omega must be finite" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_exit_code_3_on_non_finite_analytic_frame(tmp_path, capsys):
+    # A finite grid on which omega * t overflows: the analytic frame is NaN.
+    config = rotating_config()
+    config["model"]["omega"] = 1e308
+    config["grid"].update(t_start=0.0, t_end=1e10)
+    with np.errstate(all="ignore"):
+        assert main(["criteria", "--config", write_config(tmp_path, config)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_unreadable_config(tmp_path, capsys):
     assert main(["criteria", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -34,6 +34,9 @@ def test_rotating_params_validation():
         RotatingModelParams(mu_B=1.0, theta=np.pi, omega=1.0)
     with pytest.raises(ValueError):
         RotatingModelParams(mu_B=1.0, theta=1.0, omega=0.0)
+    for mu_B, omega in [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, -np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            RotatingModelParams(mu_B=mu_B, theta=1.0, omega=omega)
 
 
 def test_rotating_eigorelation_at_random_times(rng):

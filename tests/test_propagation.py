@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabatica import (
     MSSecondModelParams,
@@ -21,6 +23,7 @@ from adiabatica import (
     stepping_evolution,
 )
 from adiabatica.models import SIGMA_X, SIGMA_Z
+from adiabatica.propagation import _accumulate, _effective_steps
 from adiabatica.spectral import HamiltonianSpec
 
 from conftest import random_smooth_spec
@@ -184,3 +187,63 @@ def test_propagate_rejects_unnormalized_initial_state():
     grid = TimeGrid(0.0, params.period, 64)
     with pytest.raises(ValueError):
         propagate(rotating_model(params), grid, [np.array([1.0, 1.0])])
+
+
+def sequential_accumulate(steps):
+    """Reference: one left multiplication per step, in time order."""
+    out = [np.eye(steps.shape[1], dtype=complex)]
+    for step in steps:
+        out.append(step @ out[-1])
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 8, 16]),
+    k=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_blocked_accumulate_matches_sequential_loop(n, k, seed):
+    # K from 1 covers K below the block size, square K and ragged last blocks.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+    got = _accumulate(q)
+    assert got.shape == (k + 1, n, n)
+    assert max_abs(got - sequential_accumulate(q)) < 1e-12
+
+
+def test_propagate_without_initial_states(rng):
+    spec = random_smooth_spec(rng, 3)
+    grid = TimeGrid(0.0, 1.0, 64)
+    result = propagate(spec, grid, [])
+    assert result.states == [] and result.coefficients == []
+    assert result.propagators.shape == (65, 3, 3)
+
+
+def test_propagate_explicit_vector_matches_level_index(rng):
+    spec = random_smooth_spec(rng, 3)
+    grid = TimeGrid(0.0, 1.0, 64)
+    by_index = propagate(spec, grid, [2, 0])
+    psi0 = by_index.frames.vectors[0, :, 0].copy()
+    explicit = propagate(spec, grid, [psi0], frames=by_index.frames)
+    assert max_abs(explicit.states[0] - by_index.states[1]) < 1e-14
+    assert max_abs(explicit.coefficients[0] - by_index.coefficients[1]) < 1e-14
+    direct = np.array([U @ psi0 for U in by_index.propagators])
+    assert max_abs(explicit.states[0] - direct) < 1e-14
+    overlaps = np.einsum("kim,ki->km", by_index.frames.vectors.conj(), direct)
+    assert max_abs(explicit.coefficients[0] - overlaps) < 1e-14
+
+
+def test_coefficient_propagate_matches_vector_loop(rng):
+    spec = random_smooth_spec(rng, 4)
+    grid = TimeGrid(0.0, 2.0, 200)
+    frames = build_frames(spec, grid)
+    eff = build_effective(frames, connection(frames))
+    steps = _effective_steps(eff)
+    for level in range(4):
+        # The vector loop coefficient_propagate used to run, kept as the reference.
+        ref = np.empty((grid.steps + 1, 4), dtype=complex)
+        ref[0] = np.eye(4)[level]
+        for k in range(grid.steps):
+            ref[k + 1] = steps[k] @ ref[k]
+        assert max_abs(coefficient_propagate(eff, level) - ref) < 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adiabatica import (
+    AdiabaticaError,
     EigenGapTooSmallError,
     Gauge,
     HamiltonianSpec,
@@ -34,6 +35,27 @@ def test_grid_validation():
     grid = TimeGrid(0.0, 2.0, 8)
     assert grid.dt == pytest.approx(0.25)
     assert len(grid.times) == 9
+
+
+@pytest.mark.parametrize(
+    "t_start, t_end", [(-1e308, 1e308), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)]
+)
+def test_grid_rejects_non_finite_times_and_step(t_start, t_end):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(t_start, t_end, 16)
+
+
+def test_non_finite_analytic_frame_raises():
+    spec = rotating_model(RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5))
+
+    def frame(times):
+        energies, vectors, derivs = spec.analytic_frame(times)
+        energies[3, 0] = np.nan
+        return energies, vectors, derivs
+
+    grid = TimeGrid(0.0, 1.0, 16)
+    with pytest.raises(AdiabaticaError, match="non-finite"):
+        build_frames(HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame), grid)
 
 
 def test_static_frames_constant():
