@@ -497,7 +497,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.verbose:
         print(f"adiabatica: running {args.command}", file=sys.stderr)
     try:
-        payload, header, rows = RUNNERS[args.command](config)
+        # Overflow and NaN surface as a numerical error (exit 3), not as RuntimeWarnings.
+        with np.errstate(all="ignore"):
+            payload, header, rows = RUNNERS[args.command](config)
     except AdiabaticaError as exc:
         print(f"adiabatica: numerical error: {exc}", file=sys.stderr)
         return 3

@@ -11,16 +11,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import AdiabaticaError, GridMismatchError
 from .spectral import ConnectionMatrix, FrameTrajectory, TimeGrid
 
 DEGENERATE_DENOMINATOR = 1e-14
+WITNESS_RTOL = 1e-9
 
 
 def accumulate_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid quadrature on a uniform grid; result[0] = 0."""
+    """Cumulative trapezoid quadrature on a uniform grid; result[0] = 0.
+
+    Raises AdiabaticaError when the sum overflows or meets a non-finite value.
+    """
     out = np.zeros(len(values), dtype=np.result_type(values, float))
     np.cumsum((values[1:] + values[:-1]) * (dt / 2), out=out[1:])
+    if not np.isfinite(out[-1]):  # a non-finite partial sum stays non-finite
+        raise AdiabaticaError(f"accumulated phase is not finite: {out[-1]}")
     return out
 
 
@@ -77,10 +83,15 @@ class CriteriaReport:
         }
 
 
-def _argmin_witness(values: np.ndarray, times: np.ndarray, pairs: list) -> tuple[float, dict]:
-    flat = int(np.argmin(values))
-    k, p = divmod(flat, values.shape[1])
-    return float(values[k, p]), {"time": float(times[k]), "levels": list(pairs[p])}
+def _witness(values: np.ndarray, pick, times: np.ndarray) -> tuple[float, dict]:
+    """values.flat[pick(values)] and the first (k, levels), in row-major order, within
+    WITNESS_RTOL of it, so that a last-bit change does not move a flat extreme's witness."""
+    extreme_at = int(pick(values))
+    extreme = values.flat[extreme_at]
+    near = np.abs(values - extreme) <= WITNESS_RTOL * abs(extreme)
+    near.flat[extreme_at] = True
+    k, *levels = np.unravel_index(int(np.argmax(near)), values.shape)
+    return float(extreme), {"time": float(times[k]), "levels": [int(n) for n in levels]}
 
 
 def criteria(
@@ -91,34 +102,30 @@ def criteria(
     The numerator is max over grid times and level pairs n' != m' of
     |A_n'm'(t)|; each denominator is minimized over grid times and levels.
     energy_offset shifts only the r_level denominator, honoring the free
-    choice of energy origin.
+    choice of energy origin. Each witness is the first (time, levels) within a
+    relative WITNESS_RTOL of its extreme.
     """
     n = eff.frames.dim
     if n < 2:
         raise ValueError("criteria needs at least two levels")
     times = eff.grid.times
-    A = eff.connection.values
     E = eff.frames.energies
     diag = np.einsum("kii->ki", eff.values)
+    idx = np.arange(n)
 
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
+    # (K, N, N) arrays over level pairs (i, j), the diagonal i = j masked off
+    offdiag = np.abs(eff.connection.values)
+    offdiag[:, idx, idx] = -np.inf
+    naive = np.abs(E[:, :, None] - E[:, None, :])
+    gap = np.abs(diag[:, :, None] - diag[:, None, :])
+    naive[:, idx, idx] = gap[:, idx, idx] = np.inf
+    level = np.abs(diag + energy_offset)
 
-    offdiag = np.abs(A[:, pi, pj])
-    flat = int(np.argmax(offdiag))
-    k, p = divmod(flat, len(pairs))
-    numerator = float(offdiag[k, p])
-    witnesses = {"numerator": {"time": float(times[k]), "levels": list(pairs[p])}}
-
-    naive_den, w = _argmin_witness(np.abs(E[:, pi] - E[:, pj]), times, pairs)
-    witnesses["naive_denominator"] = w
-    gap_den, w = _argmin_witness(np.abs(diag[:, pi] - diag[:, pj]), times, pairs)
-    witnesses["gap_denominator"] = w
-    level_den, w = _argmin_witness(
-        np.abs(diag + energy_offset), times, [(i,) for i in range(n)]
-    )
-    witnesses["level_denominator"] = w
+    witnesses = {}
+    numerator, witnesses["numerator"] = _witness(offdiag, np.argmax, times)
+    naive_den, witnesses["naive_denominator"] = _witness(naive, np.argmin, times)
+    gap_den, witnesses["gap_denominator"] = _witness(gap, np.argmin, times)
+    level_den, witnesses["level_denominator"] = _witness(level, np.argmin, times)
 
     def ratio(den: float) -> float:
         return numerator / den if den >= DEGENERATE_DENOMINATOR else float("inf")

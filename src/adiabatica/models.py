@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import dagger, matmul
 from .propagation import stepping_propagators
 from .spectral import HamiltonianSpec, TimeGrid
 
@@ -177,17 +178,17 @@ def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
 
     def evaluate(t):
         U = table[half_grid.index_of(t)]
-        return -U.conj().swapaxes(-1, -2) @ base.evaluate(t) @ U
+        return matmul(matmul(-dagger(U), base.evaluate(t)), U)
 
     frame = None
     if base.analytic_frame is not None:
 
         def frame(t):
             energies, vectors, derivs = base.analytic_frame(t)
-            U_dag = table[half_grid.index_of(t)].conj().swapaxes(-1, -2)
+            U_dag = dagger(table[half_grid.index_of(t)])
             # d/dt (U^dag v_n) = i E_n U^dag v_n + U^dag dv_n/dt
-            barred_derivs = U_dag @ (1j * vectors * energies[..., None, :] + derivs)
-            return -energies, U_dag @ vectors, barred_derivs
+            barred_derivs = matmul(U_dag, 1j * vectors * energies[..., None, :] + derivs)
+            return -energies, matmul(U_dag, vectors), barred_derivs
 
     return HamiltonianSpec(
         dim=base.dim, evaluate=evaluate, analytic_frame=frame, batched=base.batched

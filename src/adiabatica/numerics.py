@@ -2,8 +2,9 @@
 
 Eigendecomposition is delegated to LAPACK via numpy.linalg.eigh, which is
 deterministic for identical input and returns ascending eigenvalues. Matrix
-exponentials of Hermitian generators are built from the eigendecomposition so
-the result is unitary by construction.
+exponentials of Hermitian generators are built from the eigendecomposition
+(in closed form at N = 2) so the result is unitary by construction. Products of
+matrix stacks go through matmul, which skips BLAS for N <= 3.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import NotHermitianError
 
 HERMITICITY_RTOL = 1e-12
+SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -27,11 +29,29 @@ def dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over stacks of matrices, broadcast as np.matmul does; out must not overlap a or b.
+
+    Up to a contracted size of SMALL_PRODUCT_MAX_N it sums elementwise products:
+    there np.matmul's one BLAS call per matrix costs more than the arithmetic.
+    """
+    n = a.shape[-1]
+    if n > SMALL_PRODUCT_MAX_N:
+        return np.matmul(a, b, out=out)
+    # out[..., i, l] = sum over j of a[..., i, j] * b[..., j, l], one j at a time
+    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
+    for j in range(1, n):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def require_hermitian_batch(hams: np.ndarray, rtol: float = HERMITICITY_RTOL) -> float:
     """Raise NotHermitianError unless a (K, N, N) stack is finite and Hermitian.
 
     The tolerance is rtol * ||stack||_max; returns that max-modulus scale.
     """
+    if hams.ndim != 3 or hams.shape[1] != hams.shape[2]:
+        raise NotHermitianError(f"expected a stack of square matrices, got shape {hams.shape}")
     scale = max_abs(hams)
     defect = max_abs(hams - dagger(hams))
     if not np.isfinite(scale) or defect > rtol * scale:
@@ -39,14 +59,6 @@ def require_hermitian_batch(hams: np.ndarray, rtol: float = HERMITICITY_RTOL) ->
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
         )
     return scale
-
-
-def require_hermitian(H: np.ndarray, rtol: float = HERMITICITY_RTOL) -> None:
-    """Raise NotHermitianError unless H is square, finite and Hermitian within rtol * ||H||_max."""
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {H.shape}")
-    require_hermitian_batch(H[None], rtol)
 
 
 @dataclass(frozen=True)
@@ -64,13 +76,38 @@ def eig_hermitian(H: np.ndarray) -> HermitianEigenResult:
     matrix. Output is deterministic for identical input.
     """
     H = np.asarray(H, dtype=complex)
-    require_hermitian(H)
+    require_hermitian_batch(H[None])
     w, V = np.linalg.eigh(H)
     return HermitianEigenResult(eigenvalues=w, eigenvectors=V)
 
 
+def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i * s * H) for each H of a (K, N, N) stack; NotHermitianError unless finite and Hermitian.
+
+    At N = 2, H = m I + r . sigma, read from the real diagonal and the lower
+    triangle as eigh reads it, has the closed form
+    e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Other sizes
+    rebuild V e^{-i s w} V^dagger from a batched eigh.
+    """
+    require_hermitian_batch(hams)
+    if hams.shape[-1] == 2:
+        h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+        m, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+        r = np.hypot(z, np.abs(h10))
+        # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
+        sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
+        phase = np.exp(-1j * s * m)
+        cos, off = phase * np.cos(s * r), -1j * phase * sinc
+        out = np.empty(hams.shape, dtype=complex)
+        out[:, 0, 0], out[:, 1, 1] = cos + off * z, cos - off * z
+        out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
+        return out
+    w, V = np.linalg.eigh(hams)
+    V_dag = dagger(V)
+    V *= np.exp(-1j * s * w)[:, None, :]  # in place: no third (K, N, N) buffer
+    return matmul(V, V_dag)
+
+
 def exp_antihermitian(H: np.ndarray, s: float) -> np.ndarray:
     """exp(-i * s * H) for Hermitian H, unitary by construction."""
-    res = eig_hermitian(H)
-    V = res.eigenvectors
-    return (V * np.exp(-1j * s * res.eigenvalues)) @ V.conj().T
+    return exp_antihermitian_batch(np.asarray(H, dtype=complex)[None], s)[0]

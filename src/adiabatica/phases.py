@@ -16,7 +16,7 @@ import numpy as np
 
 from .effective import accumulate_trapezoid, build_effective
 from .errors import NonCyclicWarning
-from .numerics import max_abs
+from .numerics import matmul, max_abs
 from .propagation import _accumulate, _effective_steps, propagate
 from .spectral import (
     ConnectionMatrix,
@@ -159,8 +159,8 @@ def gauge_transform_check(
 
     # Column n of psi[k] is the state started in level n, rebuilt from the
     # coefficient propagator of each gauge (one accumulation per gauge).
-    psi = frames.vectors @ _accumulate(_effective_steps(eff))
-    psi_t = tframes.vectors @ _accumulate(_effective_steps(teff))
+    psi = matmul(frames.vectors, _accumulate(_effective_steps(eff)))
+    psi_t = matmul(tframes.vectors, _accumulate(_effective_steps(teff)))
     rays = np.exp(1j * alphas[0])
     state_devs = np.max(np.linalg.norm(psi_t - rays * psi, axis=1), axis=0)
     holo_devs = np.empty(frames.dim)

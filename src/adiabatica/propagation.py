@@ -3,8 +3,9 @@
 Each step applies exp(-i * H(t_k + dt/2) * dt), a second-order Magnus
 truncation that is unconditionally unitary; propagators accumulate
 left-multiplicatively so U[k] evolves from t_start to t_k. All K steps are
-exponentiated in one batched eigh, and the prefix products are a blocked scan
-of batched matmuls (see _accumulate), so no Python loop runs per step.
+exponentiated in one batched call (numerics.exp_antihermitian_batch), and the
+prefix products are a blocked scan of batched products (see _accumulate), so
+no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -17,19 +18,10 @@ import numpy as np
 
 from .effective import EffectiveHamiltonian
 from .errors import AdiabaticaError
-from .numerics import dagger, max_abs, require_hermitian_batch
+from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs
 from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, build_frames
 
 UNITARITY_RTOL = 1e-10
-
-
-def _batch_expstep(hams: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i * dt * H) for a stack of Hermitian matrices; NotHermitianError otherwise."""
-    require_hermitian_batch(hams)
-    w, V = np.linalg.eigh(hams)
-    V_dag = dagger(V)
-    V *= np.exp(-1j * dt * w)[:, None, :]  # in place: no third (K, N, N) buffer
-    return V @ V_dag
 
 
 def _accumulate(steps: np.ndarray) -> np.ndarray:
@@ -37,11 +29,11 @@ def _accumulate(steps: np.ndarray) -> np.ndarray:
 
     Blocked scan: the K steps form consecutive blocks of b = ceil(sqrt(K)) steps
     (the last block may be shorter). First the products within every block run
-    side by side, one batched matmul per position in the block, so out[k] holds
+    side by side, one batched product per position in the block, so out[k] holds
     the product of its block's steps up to k. Then one pass over the blocks in
     order multiplies each block on the right by the finished product that ends
-    the block before it, in one batched matmul per block. That is about 2*sqrt(K)
-    matmul calls in place of K, and no (K, N, N) buffer beside out. The factors
+    the block before it, in one batched product per block. That is about 2*sqrt(K)
+    product calls in place of K, and no (K, N, N) buffer beside out. The factors
     are grouped per block rather than strictly left to right, so the result
     matches a sequential loop to rounding, not bit for bit.
     """
@@ -51,10 +43,10 @@ def _accumulate(steps: np.ndarray) -> np.ndarray:
     out[0] = np.eye(n)
     out[1::b] = steps[::b]
     for j in range(1, b):
-        np.matmul(steps[j::b], out[j:k:b], out=out[j + 1 :: b])
+        matmul(steps[j::b], out[j:k:b], out=out[j + 1 :: b])
     for end in range(b, k, b):
         block = out[end + 1 : end + b + 1]
-        block[...] = block @ out[end]
+        block[...] = matmul(block, out[end])
     return out
 
 
@@ -63,7 +55,7 @@ def _effective_steps(eff: EffectiveHamiltonian) -> np.ndarray:
     # discrete connection carries O(dt^2) Hermiticity noise.
     mids = 0.5 * (eff.values[:-1] + eff.values[1:])
     mids = 0.5 * (mids + dagger(mids))
-    return _batch_expstep(mids, eff.grid.dt)
+    return exp_antihermitian_batch(mids, eff.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -87,12 +79,12 @@ def stepping_propagators(spec: HamiltonianSpec, grid: TimeGrid) -> np.ndarray:
     Raises NotHermitianError when a midpoint sample is non-finite or not Hermitian.
     """
     mids = spec.sample(grid.times[:-1] + grid.dt / 2)
-    propagators = _accumulate(_batch_expstep(mids, grid.dt))
+    propagators = _accumulate(exp_antihermitian_batch(mids, grid.dt))
 
-    gram = dagger(propagators) @ propagators
+    gram = matmul(dagger(propagators), propagators)
     gram -= np.eye(spec.dim)
     drift = max_abs(gram)
-    if drift > UNITARITY_RTOL * grid.steps:
+    if not drift <= UNITARITY_RTOL * grid.steps:  # NaN-safe
         raise AdiabaticaError(f"propagator lost unitarity: drift {drift:.3e}")
     return propagators
 
@@ -125,8 +117,8 @@ def propagate(
         columns.append(psi0)
     # Column s of traj[k] is U[k] psi0_s; of coeffs[k], its overlaps <v_m(t_k)|.>.
     psi0s = np.array(columns, dtype=complex).reshape(len(columns), spec.dim).T
-    traj = propagators @ psi0s
-    coeffs = dagger(frames.vectors) @ traj
+    traj = matmul(propagators, psi0s)
+    coeffs = matmul(dagger(frames.vectors), traj)
     states = [traj[:, :, s] for s in range(len(columns))]
     coefficients = [coeffs[:, :, s] for s in range(len(columns))]
     return PropagationResult(grid, propagators, states, coefficients, frames)

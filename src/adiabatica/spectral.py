@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdiabaticaError, EigenGapTooSmallError
-from .numerics import dagger, require_hermitian_batch
+from .numerics import dagger, matmul, require_hermitian_batch
 
 GAP_FLOOR_RTOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -30,7 +30,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise ValueError("steps must be a positive integer")
         if not all(math.isfinite(x) for x in (self.t_start, self.t_end, self.dt)):
             raise ValueError("t_start, t_end and the step dt must be finite")
@@ -143,7 +144,7 @@ def _check_gaps(energies: np.ndarray, scale: float) -> None:
 
 def _check_orthonormal(vectors: np.ndarray) -> None:
     eye = np.eye(vectors.shape[-1])
-    defect = np.max(np.abs(dagger(vectors) @ vectors - eye))
+    defect = np.max(np.abs(matmul(dagger(vectors), vectors) - eye))
     if defect > ORTHONORMALITY_TOL:
         raise ValueError(f"frames not orthonormal: defect {defect:.3e}")
 
@@ -211,6 +212,6 @@ def connection(frames: FrameTrajectory) -> ConnectionMatrix:
         dv = frames.vector_derivatives
     else:
         dv = _time_derivative(frames.vectors, frames.grid.dt)
-    values = dagger(frames.vectors) @ dv
+    values = matmul(dagger(frames.vectors), dv)
     values *= 1j
     return ConnectionMatrix(frames.grid, values)

@@ -246,6 +246,27 @@ def test_exit_code_3_on_non_finite_analytic_frame(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, model",
+    [
+        ("simulate", {"mu_B": 1e300, "theta": 1.0, "omega": 1.0}),  # the step phase overflows
+        ("holonomy", {"mu_B": 1e300, "theta": 1.0, "omega": 1.0}),  # the dynamical phase overflows
+        ("criteria", {"mu_B": 1.0, "theta": 1.0, "omega": 1e308}),  # omega * t overflows
+    ],
+)
+def test_exit_code_3_on_overflow_prints_one_line(tmp_path, command, model):
+    config = {
+        "model": {"model": "rotating", **model},
+        "grid": {"t_start": 0.0, "t_end": 1e10, "steps": 16},
+    }
+    proc = run_cli(tmp_path, command, config)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("adiabatica: numerical error:")
+    assert proc.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_2_on_unreadable_config(tmp_path, capsys):
     assert main(["criteria", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -77,6 +77,31 @@ def test_rotating_criteria_closed_form_oracle():
     assert report.verdicts == {"naive": True, "gap": True, "level": True}
 
 
+@pytest.mark.parametrize("model", ["rotating", "barred_rotating"])
+def test_criteria_witnesses_survive_one_ulp_perturbation(model, rng):
+    # On the rotating model |A_01|, the energies and the effective diagonal are
+    # flat to rounding, so without a tie rule a last-bit change moves the witness.
+    params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5)
+    grid = TimeGrid(0.0, params.period, 512)
+    spec = rotating_model(params)
+    if model == "barred_rotating":
+        spec = barred_model(spec, grid)
+    frames = build_frames(spec, grid)
+    conn = connection(frames)
+    report = criteria(build_effective(frames, conn))
+    for _ in range(3):
+        values = conn.values
+        up = rng.random(values.shape) < 0.5
+        nudged = np.where(up, np.nextafter(values.real, np.inf), np.nextafter(values.real, -np.inf))
+        nudged = nudged + 1j * np.where(
+            up, np.nextafter(values.imag, -np.inf), np.nextafter(values.imag, np.inf)
+        )
+        other = criteria(build_effective(frames, ConnectionMatrix(grid, nudged)))
+        assert other.witnesses == report.witnesses
+        for name in ("r_naive", "r_gap", "r_level"):
+            assert getattr(other, name) == pytest.approx(getattr(report, name), rel=1e-14)
+
+
 def test_barred_criteria_naive_passes_gap_fails():
     params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=1e-3)
     grid = TimeGrid(0.0, params.period, 256)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabatica import NotHermitianError, eig_hermitian, exp_antihermitian, max_abs
 from adiabatica.models import SIGMA_X, SIGMA_Z
+from adiabatica.numerics import dagger, exp_antihermitian_batch, matmul
 
 from conftest import random_hermitian
 
@@ -102,3 +105,75 @@ def test_eigenvalues_ascending(rng):
     H = random_hermitian(rng, 7)
     res = eig_hermitian(H)
     assert np.all(np.diff(res.eigenvalues) >= 0)
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 4]),
+    k=st.integers(1, 40),
+    s=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_equals_numpy_matmul(n, k, s, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_complex(rng, (k, n, n)), random_complex(rng, (k, n, n))
+    cases = [
+        (a, b),  # (K, N, N) @ (K, N, N)
+        (a, random_complex(rng, (n, s))),  # (K, N, N) @ (N, S)
+        (a, b[0]),  # (B, N, N) @ (N, N)
+        (dagger(a), b),  # conjugate-transposed view
+        (a[0], b[0]),  # single matrices
+    ]
+    for x, y in cases:
+        expected = np.matmul(x, y)
+        got = matmul(x, y)
+        assert got.shape == expected.shape
+        scale = max(1.0, max_abs(expected))
+        assert max_abs(got - expected) <= 1e-14 * scale
+    buffer = np.empty((k, n, n), dtype=complex)
+    assert matmul(a, b, out=buffer) is buffer
+    assert max_abs(buffer - np.matmul(a, b)) <= 1e-14 * max(1.0, max_abs(buffer))
+
+
+def eigh_step(hams, s):
+    """The eigh reconstruction V e^{-i s w} V^dagger, the N >= 3 path applied at any N."""
+    w, V = np.linalg.eigh(hams)
+    return (V * np.exp(-1j * s * w)[:, None, :]) @ dagger(V)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    scale=st.floats(1e-3, 1e2),
+    dt=st.floats(1e-4, 10.0),
+    identity_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_two_level_step_matches_eigh(k, scale, dt, identity_share, seed):
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, (k, 2, 2))
+    hams = scale * (x + dagger(x)) / 2
+    # identity_share = 1 makes H proportional to I (r = 0): sin(dt r)/r -> dt
+    trace = np.einsum("kii->k", hams).real / 2
+    hams = identity_share * trace[:, None, None] * np.eye(2) + (1 - identity_share) * hams
+    got = exp_antihermitian_batch(hams, dt)
+    size = dt * max_abs(hams)
+    assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + size)
+    assert max_abs(dagger(got) @ got - np.eye(2)) <= 1e-14
+
+
+def test_closed_form_step_at_large_phase_and_zero_field():
+    hams = np.array([[[3.0, 1 - 2j], [1 + 2j, -1.0]], [[2.5, 0.0], [0.0, 2.5]]], dtype=complex)
+    for dt in (1e-3, 1.0, 1e3 / max_abs(hams)):
+        got = exp_antihermitian_batch(hams, dt)
+        assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
+    assert max_abs(exp_antihermitian_batch(hams, 0.3)[1] - np.exp(-0.75j) * np.eye(2)) < 1e-15
+
+
+def test_exp_rejects_non_square():
+    with pytest.raises(NotHermitianError, match="square"):
+        exp_antihermitian(np.zeros((2, 3)), 1.0)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adiabatica import (
+    AdiabaticaError,
     NonCyclicWarning,
     RotatingModelParams,
     TimeGrid,
@@ -73,6 +76,9 @@ def test_phase_split_components():
         np.pi * (1 + np.cos(params.theta)), rel=1e-12
     )
     assert split.total == pytest.approx(split.dynamical - split.geometric, rel=1e-15)
+    overflowing = dataclasses.replace(frames, energies=frames.energies * 1e308)
+    with np.errstate(over="ignore"), pytest.raises(AdiabaticaError, match="not finite"):
+        phase_split(overflowing, conn, 0)
 
 
 def test_phase_split_additivity():

@@ -30,8 +30,10 @@ def static_spec(H: np.ndarray) -> HamiltonianSpec:
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 0)
+    for steps in (0, -3, 2.5, True, 16.0, "16"):
+        with pytest.raises(ValueError, match="positive integer"):
+            TimeGrid(0.0, 1.0, steps)
+    assert TimeGrid(0.0, 1.0, np.int64(4)).times.shape == (5,)
     grid = TimeGrid(0.0, 2.0, 8)
     assert grid.dt == pytest.approx(0.25)
     assert len(grid.times) == 9
