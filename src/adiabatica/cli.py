@@ -13,13 +13,15 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from functools import partial
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .effective import accumulate_trapezoid, build_effective, criteria
-from .errors import AdiabaticaError
+from .effective import accumulate_trapezoid, build_effective, criteria, geometric_phase
+from .errors import AdiabaticaError, NonCyclicWarning
 from .models import (
     MSSecondModelParams,
     RotatingModelParams,
@@ -44,7 +46,7 @@ COMMANDS = ("simulate", "criteria", "holonomy", "ms-probe", "composition-check",
 TOP_KEYS = {"command", "model", "grid", "epsilon", "energy_offset", "output", "format", "seed", "sweep"}
 MODEL_KEYS = {"model", "mu_B", "theta", "omega", "omega0", "tau", "n"}
 GRID_KEYS = {"t_start", "t_end", "steps"}
-SWEEP_KEYS = {"ratio_min", "ratio_max", "points"}
+SWEEP_DEFAULTS = {"ratio_min": 1e-3, "ratio_max": 1e3, "points": 61}
 MODEL_NAMES = ("rotating", "ms_second", "barred_rotating")
 GRIDLESS_COMMANDS = ("sweep",)
 MAX_STEPS = 2**20  # bound on grid steps and sweep points, checked before anything is allocated
@@ -138,11 +140,26 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def _float(x) -> float:
+    """x as a float, or NaN unless _is_number(x): every parameter constructor rejects NaN."""
+    return float(x) if _is_number(x) else math.nan
+
+
+def _construct(out: list[str], label: str, cls, *args):
+    """cls(*args), or None after appending the constructor's error to out as "label: message"."""
+    try:
+        return cls(*args)
+    except (ValueError, OverflowError) as exc:
+        out.append(f"{label}: {exc}")
+        return None
+
+
 def validate(config: dict, command: Optional[str] = None) -> list[str]:
     """Collect all config violations; an empty list means the config is valid.
 
     Never raises on malformed input: wrong types and unknown keys come back
-    as violation strings.
+    as violation strings. Model parameters and grids are checked by their
+    constructors (RotatingModelParams, MSSecondModelParams, TimeGrid).
     """
     out: list[str] = []
     if not isinstance(config, dict):
@@ -168,25 +185,19 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
         if key not in MODEL_KEYS:
             out.append(f"unknown model key {key!r}")
     name = model.get("model")
+    mu_B, theta = _float(model.get("mu_B")), _float(model.get("theta"))
     if name not in MODEL_NAMES:
         out.append(f"model must be one of {MODEL_NAMES}")
-    if name in ("rotating", "barred_rotating"):
-        mu_B, theta, omega = model.get("mu_B"), model.get("theta"), model.get("omega")
-        if not (_is_number(mu_B) and mu_B > 0):
-            out.append("mu_B must be a positive number")
-        if not (_is_number(theta) and 0 < theta < math.pi):
-            out.append("theta must lie in (0, pi)")
-        if effective_command != "sweep" and not (_is_number(omega) and omega != 0):
-            out.append("omega must be a nonzero number")
     elif name == "ms_second":
-        omega0, tau, n = model.get("omega0"), model.get("tau"), model.get("n")
-        if not (_is_number(omega0) and _is_number(tau) and (n is None or type(n) is int)):
-            out.append("omega0 and tau must be numbers, n an integer if given")
+        n = model.get("n")
+        if n is None or type(n) is int:
+            omega0, tau = _float(model.get("omega0")), _float(model.get("tau"))
+            _construct(out, "ms_second model", MSSecondModelParams, omega0, tau, n)
         else:
-            try:
-                MSSecondModelParams(omega_0=float(omega0), tau=float(tau), regime_n=n)
-            except (ValueError, OverflowError) as exc:
-                out.append(f"ms_second model: {exc}")
+            out.append("n must be an integer if given")
+    elif effective_command != "sweep":  # a sweep's drives are checked at its end ratios
+        omega = _float(model.get("omega"))
+        _construct(out, "rotating model", RotatingModelParams, mu_B, theta, omega)
 
     if effective_command == "sweep":
         if name is not None and name != "rotating":
@@ -196,24 +207,20 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             out.append("sweep block must be an object")
         else:
             for key in sweep:
-                if key not in SWEEP_KEYS:
+                if key not in SWEEP_DEFAULTS:
                     out.append(f"unknown sweep key {key!r}")
-            lo = sweep.get("ratio_min", 1e-3)
-            hi = sweep.get("ratio_max", 1e3)
-            points = sweep.get("points", 61)
+            lo, hi, points = ({**SWEEP_DEFAULTS, **sweep}[key] for key in SWEEP_DEFAULTS)
             if not (_is_number(lo) and lo > 0):
                 out.append("ratio_min must be positive")
-            if not (_is_number(hi) and _is_number(lo) and hi > lo):
+            elif not (_is_number(hi) and hi > lo):
                 out.append("ratio_max must exceed ratio_min")
+            elif name == "rotating":
+                for ratio in (float(lo), float(hi)):
+                    label = f"sweep at ratio {ratio!r}"
+                    if not _construct(out, label, RotatingModelParams, mu_B, theta, mu_B * ratio):
+                        break
             if type(points) is not int or not 2 <= points <= MAX_STEPS:
                 out.append("points must be an integer in [2, 2**20]")
-            if not out:  # a valid rotating model and ratio range: each end drive must be valid too
-                mu_B, theta = float(model["mu_B"]), float(model["theta"])
-                for ratio in (float(lo), float(hi)):
-                    try:
-                        RotatingModelParams(mu_B=mu_B, theta=theta, omega=mu_B * ratio)
-                    except ValueError as exc:
-                        out.append(f"sweep at ratio {ratio!r}: {exc}")
     elif "sweep" in config:
         out.append("sweep block is only valid for the sweep command")
 
@@ -229,16 +236,12 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
         for key in grid:
             if key not in GRID_KEYS:
                 out.append(f"unknown grid key {key!r}")
-        t_start, t_end, steps = grid.get("t_start"), grid.get("t_end"), grid.get("steps")
-        if not (_is_number(t_start) and _is_number(t_end)):
-            out.append("t_start and t_end must be numbers")
+        steps = grid.get("steps")
         if type(steps) is not int or not 16 <= steps <= MAX_STEPS:
             out.append("steps must be an integer in [16, 2**20]")
-        elif _is_number(t_start) and _is_number(t_end):
-            try:
-                TimeGrid(float(t_start), float(t_end), steps)
-            except ValueError as exc:
-                out.append(f"grid: {exc}")
+        else:
+            t_start, t_end = _float(grid.get("t_start")), _float(grid.get("t_end"))
+            _construct(out, "grid", TimeGrid, t_start, t_end, steps)
     elif grid is not None and not isinstance(grid, dict):
         out.append("grid block must be an object")
 
@@ -265,21 +268,12 @@ def _build_grid(config: dict) -> TimeGrid:
 
 def _build_spec(config: dict, grid: Optional[TimeGrid]):
     model = config["model"]
-    name = model["model"]
-    if name == "rotating":
-        params = RotatingModelParams(
-            mu_B=float(model["mu_B"]), theta=float(model["theta"]), omega=float(model["omega"])
-        )
-        return rotating_model(params), params
-    if name == "barred_rotating":
-        params = RotatingModelParams(
-            mu_B=float(model["mu_B"]), theta=float(model["theta"]), omega=float(model["omega"])
-        )
-        return barred_model(rotating_model(params), grid), params
-    params = MSSecondModelParams(
-        omega_0=float(model["omega0"]), tau=float(model["tau"]), regime_n=model.get("n")
-    )
-    return ms_second_model(params), params
+    if model["model"] == "ms_second":
+        params = MSSecondModelParams(float(model["omega0"]), float(model["tau"]), model.get("n"))
+        return ms_second_model(params), params
+    params = RotatingModelParams(float(model["mu_B"]), float(model["theta"]), float(model["omega"]))
+    spec = rotating_model(params)
+    return (barred_model(spec, grid) if model["model"] == "barred_rotating" else spec), params
 
 
 def _frames_pipeline(config: dict):
@@ -299,7 +293,7 @@ def run_simulate(config: dict):
         psi = result.states[n]
         prob = np.abs(result.coefficients[n]) ** 2
         dyn = accumulate_trapezoid(frames.energies[:, n], grid.dt)
-        geo = accumulate_trapezoid(conn.values[:, n, n].real, grid.dt)
+        geo = geometric_phase(conn, n)
         header += [f"psi{n}_re_{i}" for i in levels] + [f"psi{n}_im_{i}" for i in levels]
         header += [f"prob{n}_{m}" for m in levels] + [f"phase_dyn_{n}", f"phase_geo_{n}"]
         columns += [psi.real, psi.imag, prob, dyn, geo]
@@ -326,39 +320,23 @@ def run_criteria(config: dict):
         energy_offset=float(config.get("energy_offset", 0.0)),
     )
     payload = report.to_dict()
-    header = [
-        "r_naive", "r_gap", "r_level", "epsilon", "energy_offset",
-        "verdict_naive", "verdict_gap", "verdict_level",
-    ]
-    rows = [[
-        report.r_naive, report.r_gap, report.r_level, report.epsilon, report.energy_offset,
-        report.verdicts["naive"], report.verdicts["gap"], report.verdicts["level"],
-    ]]
-    return payload, header, rows
+    header = ["r_naive", "r_gap", "r_level", "epsilon", "energy_offset"]
+    row = [payload[key] for key in header] + list(payload["verdicts"].values())
+    header += [f"verdict_{key}" for key in payload["verdicts"]]
+    return payload, header, [row]
 
 
 def run_holonomy(config: dict):
     _, spec, _, frames, conn = _frames_pipeline(config)
     header = ["level", "dynamical", "geometric", "holonomy_re", "holonomy_im", "gauge"]
     rows = []
-    entries = []
     for n in range(spec.dim):
         split = phase_split(frames, conn, n)
         h = holonomy(frames, conn, n)
         rows.append(
             [n, split.dynamical, split.geometric, h.value.real, h.value.imag, frames.gauge.value]
         )
-        entries.append(
-            {
-                "level": n,
-                "dynamical": split.dynamical,
-                "geometric": split.geometric,
-                "holonomy_re": h.value.real,
-                "holonomy_im": h.value.imag,
-                "gauge": frames.gauge.value,
-            }
-        )
-    return {"command": "holonomy", "levels": entries}, header, rows
+    return {"command": "holonomy", "levels": [dict(zip(header, row)) for row in rows]}, header, rows
 
 
 def run_ms_probe(config: dict):
@@ -388,38 +366,24 @@ def run_composition_check(config: dict):
     times = grid.times
     idx = sorted({int(i) for i in np.linspace(0, grid.steps, 9)})
     triples = list(combinations([times[i] for i in idx], 3))
-
-    dev_candidate = composition_check(
-        lambda t2, t1: ms_candidate_evolution(params, t2, t1), triples
-    )
     axis = np.array([1.0, 0.0, 0.0])
-    dev_fixed = composition_check(
-        lambda t2, t1: ms_candidate_evolution(params, t2, t1, fixed_direction=axis), triples
-    )
-    eff = build_effective(frames, conn)
-    dev_effective = composition_check(coefficient_evolution(eff), triples)
-    stepping = composition_check(stepping_evolution(propagate(spec, grid, [], frames=frames)), triples)
-
-    payload = {
-        "command": "composition-check",
-        "triples": len(triples),
-        "candidate": dev_candidate,
-        "candidate_fixed_direction": dev_fixed,
-        "effective_stepping": dev_effective,
-        "hamiltonian_stepping": stepping,
+    evolutions = {
+        "candidate": partial(ms_candidate_evolution, params),
+        "candidate_fixed_direction": partial(ms_candidate_evolution, params, fixed_direction=axis),
+        "effective_stepping": coefficient_evolution(build_effective(frames, conn)),
+        "hamiltonian_stepping": stepping_evolution(propagate(spec, grid, [], frames=frames)),
     }
-    header = ["candidate", "candidate_fixed_direction", "effective_stepping", "hamiltonian_stepping"]
-    return payload, header, [[dev_candidate, dev_fixed, dev_effective, stepping]]
+    deviations = {key: composition_check(ev, triples) for key, ev in evolutions.items()}
+    payload = {"command": "composition-check", "triples": len(triples), **deviations}
+    return payload, list(deviations), [list(deviations.values())]
 
 
 def run_sweep(config: dict):
     model = config["model"]
     mu_B, theta = float(model["mu_B"]), float(model["theta"])
-    sweep = config.get("sweep", {})
-    lo = float(sweep.get("ratio_min", 1e-3))
-    hi = float(sweep.get("ratio_max", 1e3))
-    points = int(sweep.get("points", 61))
-    ratios = np.logspace(math.log10(lo), math.log10(hi), points)
+    sweep = {**SWEEP_DEFAULTS, **config.get("sweep", {})}
+    lo, hi = float(sweep["ratio_min"]), float(sweep["ratio_max"])
+    ratios = np.logspace(math.log10(lo), math.log10(hi), sweep["points"])
 
     header = [
         "ratio", "omega", "alpha",
@@ -497,12 +461,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.verbose:
         print(f"adiabatica: running {args.command}", file=sys.stderr)
     try:
-        # Overflow and NaN surface as a numerical error (exit 3), not as RuntimeWarnings.
-        with np.errstate(all="ignore"):
+        # Overflow and NaN surface as a numerical error (exit 3), not as RuntimeWarnings;
+        # other warnings print after a successful run, one line per distinct message.
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NonCyclicWarning)  # also on a repeated in-process run
             payload, header, rows = RUNNERS[args.command](config)
     except AdiabaticaError as exc:
         print(f"adiabatica: numerical error: {exc}", file=sys.stderr)
         return 3
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"adiabatica: warning: {message}", file=sys.stderr)
 
     fmt = args.format or config.get("format", "json")
     text = _to_csv(header, rows) if fmt == "csv" else _to_json(payload) + "\n"

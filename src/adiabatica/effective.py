@@ -30,6 +30,14 @@ def accumulate_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def geometric_phase(conn: ConnectionMatrix, level: int) -> np.ndarray:
+    """int_0^t A_nn dt' of one level at every grid time, by accumulate_trapezoid.
+
+    A_nn is real up to discretization noise, so its real part is integrated.
+    """
+    return accumulate_trapezoid(conn.values[:, level, level].real, conn.grid.dt)
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
     """M(t) sampled per grid time, plus the frames and connection it came from."""
@@ -42,7 +50,7 @@ class EffectiveHamiltonian:
 
 def build_effective(frames: FrameTrajectory, conn: ConnectionMatrix) -> EffectiveHamiltonian:
     """Assemble M_nm(t) = E_n delta_nm - A_nm at every grid point."""
-    if not frames.grid.same_as(conn.grid):
+    if frames.grid != conn.grid:
         raise GridMismatchError("frames and connection use different grids")
     n = frames.dim
     values = -conn.values.copy()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import AdiabaticaError, NotHermitianError
 
 HERMITICITY_RTOL = 1e-12
 SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
@@ -87,9 +87,12 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
     At N = 2, H = m I + r . sigma, read from the real diagonal and the lower
     triangle as eigh reads it, has the closed form
     e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Other sizes
-    rebuild V e^{-i s w} V^dagger from a batched eigh.
+    rebuild V e^{-i s w} V^dagger from a batched eigh. N ||H||_max bounds every
+    eigenvalue, so an AdiabaticaError is raised before any phase s w can overflow.
     """
-    require_hermitian_batch(hams)
+    bound = abs(float(s)) * hams.shape[-1] * require_hermitian_batch(hams)
+    if not np.isfinite(bound):
+        raise AdiabaticaError("step phase overflows: |s| N ||H||_max is not finite")
     if hams.shape[-1] == 2:
         h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
         m, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)

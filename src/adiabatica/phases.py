@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .effective import accumulate_trapezoid, build_effective
+from .effective import accumulate_trapezoid, build_effective, geometric_phase
 from .errors import NonCyclicWarning
 from .numerics import matmul, max_abs
 from .propagation import _accumulate, _effective_steps, propagate
@@ -53,9 +53,8 @@ class Holonomy:
 
 
 def phase_split(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> PhaseSplit:
-    dt = frames.grid.dt
-    dyn = accumulate_trapezoid(frames.energies[:, level], dt)[-1]
-    geo = accumulate_trapezoid(conn.values[:, level, level].real, dt)[-1]
+    dyn = accumulate_trapezoid(frames.energies[:, level], frames.grid.dt)[-1]
+    geo = geometric_phase(conn, level)[-1]
     return PhaseSplit(level=level, dynamical=float(dyn), geometric=float(geo))
 
 
@@ -75,28 +74,29 @@ def holonomy(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> Hol
             "endpoint Hamiltonians differ; holonomy is not a cyclic invariant here",
             NonCyclicWarning,
         )
-    geo = accumulate_trapezoid(conn.values[:, level, level].real, frames.grid.dt)[-1]
+    geo = geometric_phase(conn, level)[-1]
     overlap = np.vdot(frames.vectors[0, :, level], frames.vectors[-1, :, level])
     return Holonomy(level=level, value=complex(overlap * np.exp(1j * geo)))
 
 
-def parallel_transport(frames: FrameTrajectory, conn: ConnectionMatrix) -> FrameTrajectory:
-    """Rephase each level by exp{i int_0^t A_nn dt'} so <v~_n | d/dt v~_n> vanishes."""
-    dt = frames.grid.dt
-    phases = np.stack(
-        [
-            accumulate_trapezoid(conn.values[:, n, n].real, dt)
-            for n in range(frames.dim)
-        ],
-        axis=1,
-    )
-    factors = np.exp(1j * phases)[:, None, :]
+def _transform_frames(
+    frames: FrameTrajectory, alphas: np.ndarray, alpha_dots: np.ndarray
+) -> FrameTrajectory:
+    """Rephase level n by exp{i alpha_n(t)}; derivatives gain i d(alpha_n)/dt v_n."""
+    factors = np.exp(1j * alphas)[:, None, :]
     vectors = frames.vectors * factors
     derivs = None
     if frames.vector_derivatives is not None:
-        diag = np.einsum("knn->kn", conn.values).real
-        derivs = (frames.vector_derivatives + 1j * diag[:, None, :] * frames.vectors) * factors
+        derivs = (
+            frames.vector_derivatives + 1j * alpha_dots[:, None, :] * frames.vectors
+        ) * factors
     return FrameTrajectory(frames.grid, frames.energies, vectors, frames.gauge, derivs)
+
+
+def parallel_transport(frames: FrameTrajectory, conn: ConnectionMatrix) -> FrameTrajectory:
+    """Rephase each level by exp{i int_0^t A_nn dt'} so <v~_n | d/dt v~_n> vanishes."""
+    phases = np.stack([geometric_phase(conn, n) for n in range(frames.dim)], axis=1)
+    return _transform_frames(frames, phases, np.einsum("knn->kn", conn.values).real)
 
 
 # Per-level gauge phase: (alpha(t), d alpha/dt (t)).
@@ -117,19 +117,6 @@ class GaugeCheckReport:
     @property
     def max_holonomy_deviation(self) -> float:
         return float(np.max(self.holonomy_deviations))
-
-
-def _transform_frames(
-    frames: FrameTrajectory, alphas: np.ndarray, alpha_dots: np.ndarray
-) -> FrameTrajectory:
-    factors = np.exp(1j * alphas)[:, None, :]
-    vectors = frames.vectors * factors
-    derivs = None
-    if frames.vector_derivatives is not None:
-        derivs = (
-            frames.vector_derivatives + 1j * alpha_dots[:, None, :] * frames.vectors
-        ) * factors
-    return FrameTrajectory(frames.grid, frames.energies, vectors, frames.gauge, derivs)
 
 
 def gauge_transform_check(
@@ -202,12 +189,11 @@ def ms_inconsistency_probe(
     conn = connection(frames)
     result = propagate(spec, grid, [level], frames=frames)
 
-    dt = grid.dt
-    phase_e = accumulate_trapezoid(frames.energies[:, level], dt)
+    phase_e = accumulate_trapezoid(frames.energies[:, level], grid.dt)
     v0 = frames.vectors[0, :, level]
     chain = np.exp(1j * phase_e) * np.einsum("i,ki->k", v0.conj(), result.states[0])
 
-    phase_a = accumulate_trapezoid(conn.values[:, level, level].real, dt)
+    phase_a = geometric_phase(conn, level)
     rephased = frames.vectors[:, :, level] * np.exp(1j * phase_a)[:, None]
     residual = np.linalg.norm(rephased - v0[None, :], axis=1)
     return ChainProbeReport(

@@ -134,15 +134,18 @@ def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
     return _accumulate(_effective_steps(eff))[:, :, level].copy()
 
 
-def coefficient_evolution(eff: EffectiveHamiltonian) -> Callable[[float, float], np.ndarray]:
-    """Two-time coefficient-space evolution generated by M(t), for grid sample times."""
-    S = _accumulate(_effective_steps(eff))
-    locate = eff.grid.index_of
+def _two_time(stack: np.ndarray, grid: TimeGrid) -> Callable[[float, float], np.ndarray]:
+    """U(t2, t1) = stack[k2] stack[k1]^dagger over a prefix-product stack, for grid sample times."""
 
     def evolution(t2: float, t1: float) -> np.ndarray:
-        return S[locate(t2)] @ dagger(S[locate(t1)])
+        return stack[grid.index_of(t2)] @ dagger(stack[grid.index_of(t1)])
 
     return evolution
+
+
+def coefficient_evolution(eff: EffectiveHamiltonian) -> Callable[[float, float], np.ndarray]:
+    """Two-time coefficient-space evolution generated by M(t), for grid sample times."""
+    return _two_time(_accumulate(_effective_steps(eff)), eff.grid)
 
 
 def composition_check(
@@ -158,13 +161,5 @@ def composition_check(
 
 
 def stepping_evolution(result: PropagationResult) -> Callable[[float, float], np.ndarray]:
-    """Two-time evolution U(t2, t1) = U[k2] U[k1]^dagger from a stepping run.
-
-    Both times must coincide with grid samples.
-    """
-    locate = result.grid.index_of
-
-    def evolution(t2: float, t1: float) -> np.ndarray:
-        return result.propagators[locate(t2)] @ result.propagators[locate(t1)].conj().T
-
-    return evolution
+    """Two-time evolution U(t2, t1) = U[k2] U[k1]^dagger of a stepping run, at grid samples."""
+    return _two_time(result.propagators, result.grid)

@@ -49,22 +49,18 @@ class TimeGrid:
     def index_of(self, t):
         """Grid index of each sample time in t (a scalar or an array of times).
 
-        Raises ValueError when a time is not a grid sample (relative tolerance 1e-9).
+        Raises ValueError when a time is more than 1e-9 * max(1, |t_start|, |t_end|)
+        from every grid sample: each grid time carries the rounding error of the
+        grid's ends, also a time near 0 on a grid of large magnitude.
         """
         t = np.asarray(t, dtype=float)
         k = np.rint((t - self.t_start) / self.dt)
         on_grid = (0 <= k) & (k <= self.steps)
-        on_grid &= np.abs(self.t_start + k * self.dt - t) <= 1e-9 * np.maximum(1.0, np.abs(t))
+        tol = 1e-9 * max(1.0, abs(self.t_start), abs(self.t_end))
+        on_grid &= np.abs(self.t_start + k * self.dt - t) <= tol
         if not on_grid.all():
             raise ValueError(f"time {t[~on_grid].flat[0]} is not a grid sample")
         return k.astype(int) if k.ndim else int(k)
-
-    def same_as(self, other: "TimeGrid") -> bool:
-        return (
-            self.t_start == other.t_start
-            and self.t_end == other.t_end
-            and self.steps == other.steps
-        )
 
 
 # An analytic frame callable maps a 1-D array of K times to (energies (K, N),

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from adiabatica.cli import main, validate
+from adiabatica.cli import COMMANDS, main, validate
 from adiabatica.errors import EigenGapTooSmallError
 
 
@@ -65,14 +71,14 @@ def test_validate_never_raises_on_garbage():
     assert validate({"model": huge_n, "grid": {}}, command="holonomy")
     huge_mu = rotating_config()
     huge_mu["model"]["mu_B"] = 10**400
-    assert validate(huge_mu, command="criteria") == ["mu_B must be a positive number"]
+    assert validate(huge_mu, command="criteria") == ["rotating model: mu_B must be positive and finite"]
 
 
 def test_exit_code_2_on_integer_beyond_float_range(tmp_path, capsys):
     config = rotating_config()
     config["model"]["mu_B"] = 10**400
     assert main(["criteria", "--config", write_config(tmp_path, config)]) == 2
-    assert "mu_B must be a positive number" in capsys.readouterr().err
+    assert "rotating model: mu_B must be positive and finite" in capsys.readouterr().err
 
 
 def test_validate_steps_maximum_before_allocation():
@@ -267,6 +273,20 @@ def test_exit_code_3_on_overflow_prints_one_line(tmp_path, command, model):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_non_cyclic_holonomy_warns_on_one_line(tmp_path, capsys):
+    config = {
+        "model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0, "omega": 0.5},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 16},
+    }
+    assert main(["holonomy", "--config", write_config(tmp_path, config)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["command"] == "holonomy"
+    assert captured.err == (
+        "adiabatica: warning: endpoint Hamiltonians differ; "
+        "holonomy is not a cyclic invariant here\n"
+    )
+
+
 def test_exit_code_2_on_unreadable_config(tmp_path, capsys):
     assert main(["criteria", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -337,3 +357,103 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert float(value) == pytest.approx(np.sin(np.pi / 3) / 2 * 1e-3 / 2, rel=1e-12)
     # lossless round-trip: re-rendering the parsed value reproduces the text
     assert format(float(value), ".17g") == value
+
+
+# Any JSON value where a number belongs: extremes, NaN, Infinity and non-numbers included.
+junk = st.one_of(
+    st.floats(),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([0, 1e-300, 1e300, -1e300, 10**400, -(10**400), True, "1", None]),
+)
+
+
+def field(usual):
+    """Mostly a usual value, so that most configs reach a runner; junk about one time in eight."""
+    return st.sampled_from([usual] * 7 + [junk]).flatmap(lambda strategy: strategy)
+
+
+def rotating_models(names):
+    return st.fixed_dictionaries(
+        {
+            "model": st.sampled_from(names),
+            "mu_B": field(st.floats(1e-3, 1e3)),
+            "theta": field(st.floats(1e-3, 3.14)),
+            "omega": field(st.floats(-10.0, 10.0)),
+        }
+    )
+
+
+ms_second_models = st.tuples(st.floats(0.1, 10.0), st.integers(1, 12)).flatmap(
+    lambda tau_n: st.fixed_dictionaries(
+        {
+            "model": st.just("ms_second"),
+            "omega0": field(st.just(2 * tau_n[1] * (2 * np.pi / tau_n[0]))),
+            "tau": field(st.just(tau_n[0])),
+        },
+        optional={"n": field(st.just(tau_n[1]))},
+    )
+)
+# Short grids and grids that straddle zero at large magnitude (|t_start| up to 1e12). steps
+# stays in [16, 64], or fails validation before anything is allocated, so that the 500
+# examples of the fuzz test run in about 10 s.
+grids = st.tuples(
+    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e12, 1e12)), st.floats(1e-3, 100.0)
+).flatmap(
+    lambda start_span: st.fixed_dictionaries(
+        {
+            "t_start": field(st.just(start_span[0])),
+            "t_end": field(st.just(start_span[0] + start_span[1])),
+            "steps": field(st.integers(16, 64)),
+        }
+    )
+)
+sweeps = st.fixed_dictionaries(
+    {},
+    optional={
+        "ratio_min": field(st.floats(1e-4, 1.0)),
+        "ratio_max": field(st.floats(1.0, 1e4)),
+        "points": field(st.integers(2, 64)),
+    },
+)
+extras = {
+    "epsilon": field(st.floats(1e-3, 1.0)),
+    "energy_offset": field(st.floats(-10.0, 10.0)),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+    "seed": field(st.integers(0, 100)),
+}
+
+
+def configs(command):
+    """A config for command: the model and grid or sweep block it needs, any fields junk."""
+    if command == "sweep":
+        return st.fixed_dictionaries(
+            {"model": rotating_models(["rotating"]), "sweep": sweeps}, optional=extras
+        )
+    models = st.one_of(rotating_models(["rotating", "barred_rotating"]), ms_second_models)
+    return st.fixed_dictionaries({"model": models, "grid": grids}, optional=extras)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(COMMANDS).flatmap(lambda c: st.tuples(st.just(c), configs(c))))
+@example(  # a grid time near 0 that misses the grid sample by more than 1e-9 * max(1, |t|)
+    (
+        "simulate",
+        {
+            "model": {"model": "barred_rotating", "mu_B": 1, "theta": 1, "omega": 0.5},
+            "grid": {"t_start": -1e8, "t_end": 1e8 + 0.3, "steps": 17},
+        },
+    )
+)
+def test_cli_fuzz_exits_cleanly(command_config):
+    """Any config, any command: exit 0, 2 or 3, no traceback, every stderr line the CLI's own."""
+    command, config = command_config
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [command, "--config", str(path), "--output", str(Path(tmp) / "out")]
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)  # an exception escaping main is a traceback for the CLI user
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    assert all(line.startswith("adiabatica:") for line in stderr.getvalue().splitlines())

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiabatica import (
+    AdiabaticaError,
     MSSecondModelParams,
     RotatingModelParams,
     TimeGrid,
@@ -21,6 +24,7 @@ from adiabatica import (
     rotating_exact_solution,
     rotating_model,
     stepping_evolution,
+    stepping_propagators,
 )
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.propagation import _accumulate, _effective_steps
@@ -247,3 +251,12 @@ def test_coefficient_propagate_matches_vector_loop(rng):
         for k in range(grid.steps):
             ref[k + 1] = steps[k] @ ref[k]
         assert max_abs(coefficient_propagate(eff, level) - ref) < 1e-12
+
+
+def test_step_phase_overflow_raises_before_any_runtime_warning():
+    # dt * ||H|| = 6.25e8 * 1e300 overflows; numpy warnings are errors here.
+    spec = rotating_model(RotatingModelParams(1e300, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdiabaticaError, match="step phase overflows"):
+            stepping_propagators(spec, TimeGrid(0.0, 1e10, 16))

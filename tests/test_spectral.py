@@ -295,3 +295,8 @@ def test_index_of_scalar_array_and_off_grid():
             grid.index_of(bad)
     with pytest.raises(ValueError, match="time 1.1 "):
         grid.index_of(np.array([1.0, 1.1, 2.0]))
+    # Grid times near 0 on a grid of large magnitude carry the rounding error of its ends:
+    # the midpoints of a 17-step grid are the odd samples of its 34-step refinement.
+    coarse, fine = TimeGrid(-1e8, 1e8 + 0.3, 17), TimeGrid(-1e8, 1e8 + 0.3, 34)
+    mids = coarse.times[:-1] + coarse.dt / 2
+    assert np.array_equal(fine.index_of(mids), np.arange(1, 34, 2))
