@@ -17,7 +17,7 @@ import numpy as np
 from .effective import accumulate_trapezoid, build_effective, geometric_phase
 from .errors import NonCyclicWarning
 from .numerics import matmul, max_abs
-from .propagation import _accumulate, _effective_steps, propagate
+from .propagation import _coefficient_propagators, propagate
 from .spectral import (
     ConnectionMatrix,
     FrameTrajectory,
@@ -146,8 +146,8 @@ def gauge_transform_check(
 
     # Column n of psi[k] is the state started in level n, rebuilt from the
     # coefficient propagator of each gauge (one accumulation per gauge).
-    psi = matmul(frames.vectors, _accumulate(_effective_steps(eff)))
-    psi_t = matmul(tframes.vectors, _accumulate(_effective_steps(teff)))
+    psi = matmul(frames.vectors, _coefficient_propagators(eff))
+    psi_t = matmul(tframes.vectors, _coefficient_propagators(teff))
     rays = np.exp(1j * alphas[0])
     state_devs = np.max(np.linalg.norm(psi_t - rays * psi, axis=1), axis=0)
     holo_devs = np.empty(frames.dim)

@@ -1,11 +1,12 @@
 """Exact time evolution by midpoint-exponential stepping, as one batched kernel.
 
 Each step applies exp(-i * H(t_k + dt/2) * dt), a second-order Magnus
-truncation that is unconditionally unitary; propagators accumulate
-left-multiplicatively so U[k] evolves from t_start to t_k. All K steps are
-exponentiated in one batched call (numerics.exp_antihermitian_batch), and the
-prefix products are a blocked scan of batched products (see _accumulate), so
-no Python loop runs per step.
+truncation; propagators accumulate left-multiplicatively so U[k] evolves from
+t_start to t_k. All K steps are exponentiated in one batched call
+(numerics.exp_antihermitian_batch), and the prefix products are a blocked scan
+of batched products (see _accumulate), so no Python loop runs per step. Steps
+are unitary to rounding, so every accumulated stack, direct or in coefficient
+space, is checked for drift (_midpoint_propagators).
 """
 
 from __future__ import annotations
@@ -50,12 +51,30 @@ def _accumulate(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _effective_steps(eff: EffectiveHamiltonian) -> np.ndarray:
+def _midpoint_propagators(mids: np.ndarray, dt: float) -> np.ndarray:
+    """Prefix products of the steps exp(-i dt mids[k]), shape (K+1, N, N).
+
+    AdiabaticaError when max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN.
+    """
+    propagators = _accumulate(exp_antihermitian_batch(mids, dt))
+    gram = matmul(dagger(propagators), propagators)
+    gram -= np.eye(propagators.shape[-1])
+    drift = max_abs(gram)
+    if not drift <= UNITARITY_RTOL * len(mids):  # NaN-safe
+        raise AdiabaticaError(f"propagator lost unitarity: drift {drift:.3e}")
+    return propagators
+
+
+def _effective_mids(eff: EffectiveHamiltonian) -> np.ndarray:
     # Midpoint generator from adjacent grid samples, symmetrized because the
     # discrete connection carries O(dt^2) Hermiticity noise.
     mids = 0.5 * (eff.values[:-1] + eff.values[1:])
-    mids = 0.5 * (mids + dagger(mids))
-    return exp_antihermitian_batch(mids, eff.grid.dt)
+    return 0.5 * (mids + dagger(mids))
+
+
+def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
+    """Accumulated coefficient-space propagators under M(t), shape (steps+1, N, N)."""
+    return _midpoint_propagators(_effective_mids(eff), eff.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -76,17 +95,10 @@ class PropagationResult:
 def stepping_propagators(spec: HamiltonianSpec, grid: TimeGrid) -> np.ndarray:
     """Accumulated midpoint-exponential propagators U(t_k, t_start), shape (steps+1, N, N).
 
-    Raises NotHermitianError when a midpoint sample is non-finite or not Hermitian.
+    Raises NotHermitianError when a midpoint sample is non-finite or not Hermitian,
+    and AdiabaticaError on unitarity drift beyond UNITARITY_RTOL * steps.
     """
-    mids = spec.sample(grid.times[:-1] + grid.dt / 2)
-    propagators = _accumulate(exp_antihermitian_batch(mids, grid.dt))
-
-    gram = matmul(dagger(propagators), propagators)
-    gram -= np.eye(spec.dim)
-    drift = max_abs(gram)
-    if not drift <= UNITARITY_RTOL * grid.steps:  # NaN-safe
-        raise AdiabaticaError(f"propagator lost unitarity: drift {drift:.3e}")
-    return propagators
+    return _midpoint_propagators(spec.sample(grid.times[:-1] + grid.dt / 2), grid.dt)
 
 
 def propagate(
@@ -99,7 +111,8 @@ def propagate(
 
     initial_states entries are either level indices (the state starts in that
     instantaneous eigenvector at t_start) or explicit state vectors. Global
-    error is O(dt^2); every propagator is unitary by construction.
+    error is O(dt^2); every propagator is unitary to rounding, checked as in
+    stepping_propagators.
     """
     if frames is None:
         frames = build_frames(spec, grid)
@@ -127,11 +140,12 @@ def propagate(
 def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
     """Propagate the instantaneous-basis coefficient vector under M(t).
 
-    Same midpoint-exponential scheme as propagate(); returns c(t_k) with
-    shape (steps+1, N) starting from the unit vector of the given level.
+    Same midpoint-exponential scheme and unitarity check as propagate();
+    returns c(t_k) with shape (steps+1, N) starting from the unit vector of
+    the given level.
     """
     # A copy, so the caller does not keep the whole (K+1, N, N) stack alive.
-    return _accumulate(_effective_steps(eff))[:, :, level].copy()
+    return _coefficient_propagators(eff)[:, :, level].copy()
 
 
 def _two_time(stack: np.ndarray, grid: TimeGrid) -> Callable[[float, float], np.ndarray]:
@@ -145,7 +159,7 @@ def _two_time(stack: np.ndarray, grid: TimeGrid) -> Callable[[float, float], np.
 
 def coefficient_evolution(eff: EffectiveHamiltonian) -> Callable[[float, float], np.ndarray]:
     """Two-time coefficient-space evolution generated by M(t), for grid sample times."""
-    return _two_time(_accumulate(_effective_steps(eff)), eff.grid)
+    return _two_time(_coefficient_propagators(eff), eff.grid)
 
 
 def composition_check(

@@ -49,14 +49,18 @@ class TimeGrid:
     def index_of(self, t):
         """Grid index of each sample time in t (a scalar or an array of times).
 
-        Raises ValueError when a time is more than 1e-9 * max(1, |t_start|, |t_end|)
-        from every grid sample: each grid time carries the rounding error of the
-        grid's ends, also a time near 0 on a grid of large magnitude.
+        Raises ValueError when a time is more than 1e-9 * S from every grid
+        sample, S = max(1, |t_start|, |t_end|): each grid time carries the
+        rounding error of the grid's ends, also a time near 0 on a grid of large
+        magnitude. The tolerance is capped at dt/4, so it cannot cover the gap
+        between samples, but not below 4 eps S, the rounding of a grid time or a
+        midpoint computed from the ends.
         """
         t = np.asarray(t, dtype=float)
         k = np.rint((t - self.t_start) / self.dt)
         on_grid = (0 <= k) & (k <= self.steps)
-        tol = 1e-9 * max(1.0, abs(self.t_start), abs(self.t_end))
+        scale = max(1.0, abs(self.t_start), abs(self.t_end))
+        tol = min(1e-9 * scale, max(self.dt / 4, 4 * np.finfo(float).eps * scale))
         on_grid &= np.abs(self.t_start + k * self.dt - t) <= tol
         if not on_grid.all():
             raise ValueError(f"time {t[~on_grid].flat[0]} is not a grid sample")

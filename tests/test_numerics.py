@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from adiabatica import NotHermitianError, eig_hermitian, exp_antihermitian, max_abs
 from adiabatica.models import SIGMA_X, SIGMA_Z
-from adiabatica.numerics import dagger, exp_antihermitian_batch, matmul
+from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, exp_antihermitian_batch, matmul
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_smooth_spec
 
 
 def taylor_expm(H: np.ndarray, s: float, terms: int = 32) -> np.ndarray:
@@ -172,6 +174,60 @@ def test_closed_form_step_at_large_phase_and_zero_field():
         got = exp_antihermitian_batch(hams, dt)
         assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
     assert max_abs(exp_antihermitian_batch(hams, 0.3)[1] - np.exp(-0.75j) * np.eye(2)) < 1e-15
+
+
+def traceless_one_norm(hams):
+    """max over the stack of ||H - tr(H)/N||_1, the norm the Taylor route is picked by."""
+    n = hams.shape[-1]
+    h0 = hams - (np.einsum("kii->k", hams).real / n)[:, None, None] * np.eye(n)
+    return np.abs(h0).sum(axis=1).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([3, 4, 8, 16]),
+    k=st.integers(1, 16),
+    x=st.floats(1e-3, 2.0),
+    identity_share=st.sampled_from([0.0, 0.5, 1.0]),
+    offset=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_taylor_step_matches_eigh(n, k, x, identity_share, offset, seed):
+    # dt is set so that dt ||H0||_1 = x, which draws both sides of TAYLOR_MAX_NORM.
+    rng = np.random.default_rng(seed)
+    y = random_complex(rng, (k, n, n))
+    hams = (y + dagger(y)) / 2
+    trace = np.einsum("kii->k", hams).real / n
+    # identity_share = 1 makes H proportional to I: an exact phase
+    hams = identity_share * trace[:, None, None] * np.eye(n) + (1 - identity_share) * hams
+    hams += offset * np.eye(n)
+    dt = x / traceless_one_norm(hams) if identity_share < 1 else x
+    got = exp_antihermitian_batch(hams, dt)
+    size = dt * max_abs(hams)
+    assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + size)
+    assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14
+
+
+def test_taylor_degree_is_the_smallest_meeting_the_bound():
+    for x in (1e-6, 1e-3, 0.025, 0.11, 0.5, TAYLOR_MAX_NORM):
+        d = _taylor_degree(x)
+        assert x ** (d + 1) / math.factorial(d + 1) <= 2.0**-53
+        assert d == 1 or x**d / math.factorial(d) > 2.0**-53
+    assert [_taylor_degree(x) for x in (0.025, 0.11, 1.0)] == [7, 9, 18]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_midpoint_steps_on_both_sides_of_the_taylor_crossover(n):
+    # The bench's random specs: at its smoke size (16 steps over [0, 10]) the
+    # steps take the eigh route, at 1024 steps the Taylor route.
+    spec = random_smooth_spec(np.random.default_rng(7), n)
+    for steps, taylor in ((16, False), (1024, True)):
+        dt = 10.0 / steps
+        hams = np.stack([spec.evaluate(t) for t in dt * (np.arange(steps) + 0.5)])
+        assert bool(dt * traceless_one_norm(hams) <= TAYLOR_MAX_NORM) is taylor
+        got = exp_antihermitian_batch(hams, dt)
+        assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
+        assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14
 
 
 def test_exp_rejects_non_square():

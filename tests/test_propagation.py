@@ -26,8 +26,10 @@ from adiabatica import (
     stepping_evolution,
     stepping_propagators,
 )
+from adiabatica import propagation
 from adiabatica.models import SIGMA_X, SIGMA_Z
-from adiabatica.propagation import _accumulate, _effective_steps
+from adiabatica.numerics import exp_antihermitian_batch
+from adiabatica.propagation import _accumulate, _effective_mids
 from adiabatica.spectral import HamiltonianSpec
 
 from conftest import random_smooth_spec
@@ -243,7 +245,7 @@ def test_coefficient_propagate_matches_vector_loop(rng):
     grid = TimeGrid(0.0, 2.0, 200)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
-    steps = _effective_steps(eff)
+    steps = exp_antihermitian_batch(_effective_mids(eff), grid.dt)
     for level in range(4):
         # The vector loop coefficient_propagate used to run, kept as the reference.
         ref = np.empty((grid.steps + 1, 4), dtype=complex)
@@ -260,3 +262,23 @@ def test_step_phase_overflow_raises_before_any_runtime_warning():
         warnings.simplefilter("error")
         with pytest.raises(AdiabaticaError, match="step phase overflows"):
             stepping_propagators(spec, TimeGrid(0.0, 1e10, 16))
+
+
+@pytest.mark.parametrize("defect", [1.0 + 1e-6, np.nan])
+def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect):
+    # Steps that are not unitary (scaled, or NaN) must fail the drift check on
+    # the direct route and on the coefficient route alike.
+    spec = random_smooth_spec(rng, 3)
+    grid = TimeGrid(0.0, 1.0, 32)
+    frames = build_frames(spec, grid)
+    eff = build_effective(frames, connection(frames))
+    monkeypatch.setattr(
+        propagation, "exp_antihermitian_batch", lambda h, s: defect * exp_antihermitian_batch(h, s)
+    )
+    for run in (
+        lambda: stepping_propagators(spec, grid),
+        lambda: coefficient_propagate(eff, 0),
+        lambda: coefficient_evolution(eff),
+    ):
+        with pytest.raises(AdiabaticaError, match="lost unitarity"):
+            run()

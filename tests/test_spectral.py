@@ -300,3 +300,18 @@ def test_index_of_scalar_array_and_off_grid():
     coarse, fine = TimeGrid(-1e8, 1e8 + 0.3, 17), TimeGrid(-1e8, 1e8 + 0.3, 34)
     mids = coarse.times[:-1] + coarse.dt / 2
     assert np.array_equal(fine.index_of(mids), np.arange(1, 34, 2))
+
+
+def test_index_of_tolerance_never_covers_the_gap_between_samples():
+    # 1e-9 * 1e12 exceeds dt/2 = 1/128 here; 1e12 + 0.49 lies between samples 31 and 32.
+    grid = TimeGrid(1e12, 1e12 + 1, 64)
+    with pytest.raises(ValueError, match="not a grid sample"):
+        grid.index_of(1e12 + 0.49)
+    assert np.array_equal(grid.index_of(grid.times), np.arange(65))
+    mids = grid.times[:-1] + grid.dt / 2
+    assert np.array_equal(TimeGrid(1e12, 1e12 + 1, 128).index_of(mids), np.arange(1, 128, 2))
+    # Below dt/4 = 1e-4, about one ulp at 1e12, the floor of 4 eps * 1e12 keeps the
+    # rounded midpoints on the grid (as the barred model looks them up).
+    grid = TimeGrid(-1e12, -1e12 + 0.05, 64)
+    mids = grid.times[:-1] + grid.dt / 2
+    assert np.array_equal(TimeGrid(-1e12, -1e12 + 0.05, 128).index_of(mids), np.arange(1, 128, 2))
