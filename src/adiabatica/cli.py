@@ -48,7 +48,6 @@ MODEL_KEYS = {"model", "mu_B", "theta", "omega", "omega0", "tau", "n"}
 GRID_KEYS = {"t_start", "t_end", "steps"}
 SWEEP_DEFAULTS = {"ratio_min": 1e-3, "ratio_max": 1e3, "points": 61}
 MODEL_NAMES = ("rotating", "ms_second", "barred_rotating")
-GRIDLESS_COMMANDS = ("sweep",)
 MAX_STEPS = 2**20  # bound on grid steps and sweep points, checked before anything is allocated
 
 
@@ -227,9 +226,8 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     if effective_command == "composition-check" and name is not None and name != "ms_second":
         out.append("composition-check requires the ms_second model")
 
-    needs_grid = effective_command not in GRIDLESS_COMMANDS
     grid = config.get("grid")
-    if needs_grid:
+    if effective_command != "sweep":
         if not isinstance(grid, dict):
             out.append("grid block is required and must be an object")
             grid = {}
@@ -241,7 +239,9 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             out.append("steps must be an integer in [16, 2**20]")
         else:
             t_start, t_end = _float(grid.get("t_start")), _float(grid.get("t_end"))
-            _construct(out, "grid", TimeGrid, t_start, t_end, steps)
+            # barred_model also builds the grid at half steps; if that one holds, so does this
+            built = 2 * steps if name == "barred_rotating" else steps
+            _construct(out, "grid", TimeGrid, t_start, t_end, built)
     elif grid is not None and not isinstance(grid, dict):
         out.append("grid block must be an object")
 

@@ -52,9 +52,8 @@ def build_effective(frames: FrameTrajectory, conn: ConnectionMatrix) -> Effectiv
     """Assemble M_nm(t) = E_n delta_nm - A_nm at every grid point."""
     if frames.grid != conn.grid:
         raise GridMismatchError("frames and connection use different grids")
-    n = frames.dim
-    values = -conn.values.copy()
-    idx = np.arange(n)
+    values = -conn.values  # a new array
+    idx = np.arange(frames.dim)
     values[:, idx, idx] += frames.energies
     return EffectiveHamiltonian(frames.grid, values, frames, conn)
 

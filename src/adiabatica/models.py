@@ -111,13 +111,8 @@ def _mixed_frame(params: RotatingModelParams, alpha: float, t: float) -> np.ndar
 
 def _mixed_energies(params: RotatingModelParams, alpha: float) -> np.ndarray:
     muB, omega = params.mu_B, params.omega
-    c = math.cos(params.theta - alpha)
-    return np.array(
-        [
-            -muB * math.cos(alpha) - (omega / 2) * (1 + c),
-            +muB * math.cos(alpha) - (omega / 2) * (1 - c),
-        ]
-    )
+    c, cos_alpha = math.cos(params.theta - alpha), math.cos(alpha)
+    return np.array([-muB * cos_alpha - omega / 2 * (1 + c), muB * cos_alpha - omega / 2 * (1 - c)])
 
 
 def rotating_exact_solution(
@@ -141,10 +136,8 @@ def rotating_exact_derivative(
     """Analytic d/dt of rotating_exact_solution."""
     if alpha is None:
         alpha = mixing_angle(params)
-    w = _mixed_frame(params, alpha, t)[:, level]
-    wdot = w * np.array([-1j * params.omega, 0.0])
-    energy = _mixed_energies(params, alpha)[level]
-    return (wdot - 1j * energy * w) * np.exp(-1j * energy * t)
+    rate = np.array([-1j * params.omega, 0.0]) - 1j * _mixed_energies(params, alpha)[level]
+    return rate * rotating_exact_solution(params, level, t, alpha)
 
 
 def rotating_geometric_phase(params: RotatingModelParams, level: int = 0) -> float:

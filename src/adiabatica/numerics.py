@@ -2,11 +2,11 @@
 
 Eigendecomposition is delegated to LAPACK via numpy.linalg.eigh, which is
 deterministic for identical input and returns ascending eigenvalues. Step
-exponentials exp(-i s H) take one of three routes: a closed form at N = 2, a
-truncated Taylor series by Horner's rule for N >= 3 when |s| ||H - tr(H)/N||_1
-<= 1, and an eigh reconstruction otherwise. Each is unitary to rounding, not
-by construction; propagation checks the accumulated drift. Products of matrix
-stacks go through matmul, which skips BLAS for N <= 3.
+exponentials exp(-i s H) take one of two routes, chosen from N alone: a closed
+form at N = 2, and for every other N a truncated Taylor series by Horner's
+rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both are unitary to
+rounding, not by construction; propagation checks the accumulated drift.
+Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AdiabaticaError, NotHermitianError
 
 HERMITICITY_RTOL = 1e-12
-TAYLOR_MAX_NORM = 1.0  # |s| ||H - tr(H)/N||_1 up to which N >= 3 steps use the Taylor series
+TAYLOR_MAX_NORM = 1.0  # |s| ||H - tr(H)/N||_1 that scaling reaches before the Taylor series
 SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
 
 
@@ -49,16 +49,16 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def require_hermitian_batch(hams: np.ndarray, rtol: float = HERMITICITY_RTOL) -> float:
+def require_hermitian_batch(hams: np.ndarray) -> float:
     """Raise NotHermitianError unless a (K, N, N) stack is finite and Hermitian.
 
-    The tolerance is rtol * ||stack||_max; returns that max-modulus scale.
+    The tolerance is HERMITICITY_RTOL * ||stack||_max; returns that max-modulus scale.
     """
     if hams.ndim != 3 or hams.shape[1] != hams.shape[2]:
         raise NotHermitianError(f"expected a stack of square matrices, got shape {hams.shape}")
     scale = max_abs(hams)
     defect = max_abs(hams - dagger(hams))
-    if not np.isfinite(scale) or defect > rtol * scale:
+    if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
         )
@@ -94,12 +94,13 @@ def _taylor_degree(x: float) -> int:
     return d
 
 
-def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray | None:
-    """exp(-i s H) by a truncated Taylor series, or None when x = |s| max ||H0||_1 > TAYLOR_MAX_NORM.
+def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i s H) by a truncated Taylor series, scaled and squared.
 
     H = m I + H0 with m = tr(H)/N, so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0.
-    One degree d = _taylor_degree(x) serves the batch. Horner's rule P <- A P + I/j!
-    runs through matmul into two buffers beside A, as many as the eigh route holds.
+    A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1.
+    Horner's rule P <- A P + I/j! at one degree _taylor_degree(x / 2^q), then q squarings
+    P <- P P (each doubles the rounding), run through matmul into two buffers beside A.
     """
     n = hams.shape[-1]
     diag = (slice(None), *np.diag_indices(n))
@@ -108,8 +109,13 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray | None:
     a[diag] -= m[:, None]
     a *= -1j * s
     x = float(np.abs(a).sum(axis=1).max(initial=0.0))
-    if not x <= TAYLOR_MAX_NORM:
-        return None
+    if not math.isfinite(x):
+        raise AdiabaticaError("step phase overflows: |s| ||H - tr(H)/N||_1 is not finite")
+    q = 0
+    while x > TAYLOR_MAX_NORM:
+        x, q = x / 2, q + 1
+    if q:
+        a *= 2.0**-q
     d = _taylor_degree(x)
     p = a * (1.0 / math.factorial(d))  # P = A / d! + I / (d-1)!, then d - 1 Horner products
     p[diag] += 1.0 / math.factorial(d - 1)
@@ -117,6 +123,9 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray | None:
     for j in range(d - 2, -1, -1):
         buffer = matmul(a, p, out=buffer)
         buffer[diag] += 1.0 / math.factorial(j)
+        p, buffer = buffer, p
+    for _ in range(q):
+        buffer = matmul(p, p, out=buffer)
         p, buffer = buffer, p
     p *= np.exp(-1j * s * m)[:, None, None]
     return p
@@ -127,36 +136,29 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
 
     At N = 2, H = m I + r . sigma, read from the real diagonal and the lower
     triangle as eigh reads it, has the closed form
-    e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. For N >= 3 a
-    truncated Taylor series of the traceless part serves steps with
-    |s| max ||H - tr(H)/N||_1 <= TAYLOR_MAX_NORM (_taylor_step); larger steps
-    rebuild V e^{-i s w} V^dagger from a batched eigh. Every route is unitary
-    to rounding. N ||H||_max bounds every eigenvalue, so an AdiabaticaError is
-    raised before any phase s w can overflow.
+    e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Every other N takes
+    a scaled-and-squared Taylor series of the traceless part (_taylor_step).
+    Both routes are unitary to rounding. N ||H||_max bounds every eigenvalue,
+    so an AdiabaticaError is raised before any phase s w can overflow.
     """
     bound = abs(float(s)) * hams.shape[-1] * require_hermitian_batch(hams)
     if not np.isfinite(bound):
         raise AdiabaticaError("step phase overflows: |s| N ||H||_max is not finite")
-    if hams.shape[-1] == 2:
-        h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
-        m, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
-        r = np.hypot(z, np.abs(h10))
-        # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
-        sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
-        phase = np.exp(-1j * s * m)
-        cos, off = phase * np.cos(s * r), -1j * phase * sinc
-        out = np.empty(hams.shape, dtype=complex)
-        out[:, 0, 0], out[:, 1, 1] = cos + off * z, cos - off * z
-        out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
-        return out
-    if hams.shape[-1] >= 3 and (out := _taylor_step(hams, s)) is not None:
-        return out
-    w, V = np.linalg.eigh(hams)
-    V_dag = dagger(V)
-    V *= np.exp(-1j * s * w)[:, None, :]  # in place: no third (K, N, N) buffer
-    return matmul(V, V_dag)
+    if hams.shape[-1] != 2:
+        return _taylor_step(hams, s)
+    h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+    m, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+    r = np.hypot(z, np.abs(h10))
+    # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
+    sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
+    phase = np.exp(-1j * s * m)
+    cos, off = phase * np.cos(s * r), -1j * phase * sinc
+    out = np.empty(hams.shape, dtype=complex)
+    out[:, 0, 0], out[:, 1, 1] = cos + off * z, cos - off * z
+    out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
+    return out
 
 
 def exp_antihermitian(H: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i * s * H) for Hermitian H, by the route exp_antihermitian_batch picks; unitary to rounding."""
+    """exp(-i * s * H) for Hermitian H, by exp_antihermitian_batch's two routes; unitary to rounding."""
     return exp_antihermitian_batch(np.asarray(H, dtype=complex)[None], s)[0]

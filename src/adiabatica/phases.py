@@ -150,13 +150,12 @@ def gauge_transform_check(
     psi_t = matmul(tframes.vectors, _coefficient_propagators(teff))
     rays = np.exp(1j * alphas[0])
     state_devs = np.max(np.linalg.norm(psi_t - rays * psi, axis=1), axis=0)
-    holo_devs = np.empty(frames.dim)
-    for n in range(frames.dim):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonCyclicWarning)
-            holo_devs[n] = abs(
-                holonomy(tframes, tconn, n).value - holonomy(frames, conn, n).value
-            )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonCyclicWarning)
+        holo_devs = np.array(
+            [abs(holonomy(tframes, tconn, n).value - holonomy(frames, conn, n).value)
+             for n in range(frames.dim)]
+        )
     return GaugeCheckReport(state_deviations=state_devs, holonomy_deviations=holo_devs)
 
 

@@ -35,8 +35,11 @@ class TimeGrid:
             raise ValueError("steps must be a positive integer")
         if not all(math.isfinite(x) for x in (self.t_start, self.t_end, self.dt)):
             raise ValueError("t_start, t_end and the step dt must be finite")
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        # Increasing times need dt above the float spacing at the ends, and normal: K dt
+        # magnifies the rounding of a subnormal dt past dt itself.
+        floor = max(math.ulp(max(abs(self.t_start), abs(self.t_end))), np.finfo(float).tiny)
+        if not self.dt > floor:
+            raise ValueError(f"t_end must exceed t_start by more than {floor!r} per step")
 
     @property
     def dt(self) -> float:

@@ -242,6 +242,32 @@ def test_exit_code_2_on_sweep_drive_overflow(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_exit_code_2_on_grid_finer_than_its_float_spacing(tmp_path):
+    # dt = 1.5e-5 is below ulp(1e12) = 1.2e-4: 65 rows would hold only 9 distinct times.
+    config = rotating_config(command="simulate")
+    config["grid"].update(t_start=1e12, t_end=1e12 + 0.001, steps=64)
+    proc = run_cli(tmp_path, "simulate", config)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "adiabatica: invalid config: grid: t_end must exceed t_start by more than"
+        " 0.0001220703125 per step"
+    ]
+    assert proc.stdout == ""
+
+
+def test_exit_code_2_on_barred_grid_whose_half_steps_are_too_fine(tmp_path):
+    # dt = 2.0e-4 exceeds ulp(1e12) = 1.2e-4, but the half steps barred_model builds do not.
+    config = rotating_config(command="holonomy")
+    config["model"]["model"] = "barred_rotating"
+    config["grid"].update(t_start=1e12, t_end=1e12 + 0.0064, steps=32)
+    proc = run_cli(tmp_path, "holonomy", config)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("adiabatica: invalid config: grid: t_end must exceed t_start")
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    config["model"]["model"] = "rotating"
+    assert validate(config, command="holonomy") == []
+
+
 def test_exit_code_3_on_non_finite_analytic_frame(tmp_path, capsys):
     # A finite grid on which omega * t overflows: the analytic frame is NaN.
     config = rotating_config()

@@ -208,6 +208,31 @@ def test_taylor_step_matches_eigh(n, k, x, identity_share, offset, seed):
     assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 3, 4, 8, 16]),
+    k=st.integers(1, 16),
+    log_x=st.floats(-3.0, 4.0),
+    identity_share=st.sampled_from([0.0, 0.5, 1.0]),
+    offset=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaled_taylor_step_matches_eigh(n, k, log_x, identity_share, offset, seed):
+    # x = dt ||H0||_1 from 1e-3 to 1e4: steps above TAYLOR_MAX_NORM are scaled by
+    # up to 2^-14 and squared back. At N = 1, H0 = 0 and the step is the phase alone.
+    x = 10.0**log_x
+    rng = np.random.default_rng(seed)
+    y = random_complex(rng, (k, n, n))
+    hams = (y + dagger(y)) / 2
+    trace = np.einsum("kii->k", hams).real / n
+    hams = identity_share * trace[:, None, None] * np.eye(n) + (1 - identity_share) * hams
+    hams += offset * np.eye(n)
+    dt = x / traceless_one_norm(hams) if identity_share < 1 and n > 1 else x
+    got = exp_antihermitian_batch(hams, dt)
+    assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
+    assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14 * (1 + x)
+
+
 def test_taylor_degree_is_the_smallest_meeting_the_bound():
     for x in (1e-6, 1e-3, 0.025, 0.11, 0.5, TAYLOR_MAX_NORM):
         d = _taylor_degree(x)

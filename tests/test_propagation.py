@@ -32,7 +32,7 @@ from adiabatica.numerics import exp_antihermitian_batch
 from adiabatica.propagation import _accumulate, _effective_mids
 from adiabatica.spectral import HamiltonianSpec
 
-from conftest import random_smooth_spec
+from conftest import random_hermitian, random_smooth_spec
 
 
 def exact_initial(params, level):
@@ -262,6 +262,18 @@ def test_step_phase_overflow_raises_before_any_runtime_warning():
         warnings.simplefilter("error")
         with pytest.raises(AdiabaticaError, match="step phase overflows"):
             stepping_propagators(spec, TimeGrid(0.0, 1e10, 16))
+
+
+def test_step_far_too_coarse_fails_the_drift_check_without_runtime_warning(rng):
+    # dt ||H||_max = 1e10 at N = 3: the Taylor step is halved about 35 times and
+    # squared back as often, and each squaring doubles the rounding error.
+    H = random_hermitian(rng, 3)
+    spec = HamiltonianSpec(dim=3, evaluate=lambda t: H)
+    grid = TimeGrid(0.0, 16 * 1e10 / max_abs(H), 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdiabaticaError, match="lost unitarity"):
+            stepping_propagators(spec, grid)
 
 
 @pytest.mark.parametrize("defect", [1.0 + 1e-6, np.nan])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabatica import (
     AdiabaticaError,
@@ -45,6 +49,35 @@ def test_grid_validation():
 def test_grid_rejects_non_finite_times_and_step(t_start, t_end):
     with pytest.raises(ValueError, match="finite"):
         TimeGrid(t_start, t_end, 16)
+
+
+def test_grid_rejects_a_step_within_the_float_spacing():
+    with pytest.raises(ValueError, match="per step"):
+        TimeGrid(1e12, 1e12 + 0.001, 64)  # dt = 1.5e-5, ulp(1e12) = 1.2e-4
+    with pytest.raises(ValueError, match="per step"):
+        TimeGrid(0.0, 5e-324, 16)  # dt underflows to 0
+    with pytest.raises(ValueError, match="per step"):
+        # dt = 1.5 ulp rounds up to 2 ulp among subnormals: the last two times would coincide
+        TimeGrid(2.225073858507e-311, 2.225073858507e-311 + 6 * 5e-324, 4)
+    with pytest.raises(ValueError, match="t_end must exceed t_start"):
+        TimeGrid(1.0, 0.0, 4)
+    assert TimeGrid(-1e12, -1e12 + 0.05, 128).dt > np.spacing(1e12)  # about 3.2 ulp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_start=st.floats(-1e15, 1e15),
+    span_ulps=st.floats(0.5, 1e5),
+    steps=st.integers(1, 4096),
+)
+def test_every_accepted_grid_has_strictly_increasing_times(t_start, span_ulps, steps):
+    # Spans of a few float spacings per step at the grid's magnitude reach the bound.
+    t_end = t_start + span_ulps * steps * math.ulp(abs(t_start) or 1.0)
+    try:
+        grid = TimeGrid(t_start, t_end, steps)
+    except ValueError:
+        return
+    assert np.all(np.diff(grid.times) > 0)
 
 
 def test_non_finite_analytic_frame_raises():
