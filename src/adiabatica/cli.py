@@ -153,6 +153,17 @@ def _construct(out: list[str], label: str, cls, *args):
         return None
 
 
+def _block(out: list[str], config: dict, name: str, keys, required: bool) -> Optional[dict]:
+    """config[name] after appending its unknown keys to out, or None after appending
+    that it is not an object. A missing block counts as {} unless required."""
+    block = config.get(name, None if required else {})
+    if not isinstance(block, dict):
+        out.append(f"{name} block {'is required and ' if required else ''}must be an object")
+        return None
+    out.extend(f"unknown {name} key {key!r}" for key in block if key not in keys)
+    return block
+
+
 def validate(config: dict, command: Optional[str] = None) -> list[str]:
     """Collect all config violations; an empty list means the config is valid.
 
@@ -176,13 +187,7 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             out.append(f"config command {declared!r} does not match invoked command {command!r}")
     effective_command = command or declared
 
-    model = config.get("model")
-    if not isinstance(model, dict):
-        out.append("model block is required and must be an object")
-        model = {}
-    for key in model:
-        if key not in MODEL_KEYS:
-            out.append(f"unknown model key {key!r}")
+    model = _block(out, config, "model", MODEL_KEYS, required=True) or {}
     name = model.get("model")
     mu_B, theta = _float(model.get("mu_B")), _float(model.get("theta"))
     if name not in MODEL_NAMES:
@@ -201,13 +206,8 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     if effective_command == "sweep":
         if name is not None and name != "rotating":
             out.append("sweep requires the rotating model")
-        sweep = config.get("sweep", {})
-        if not isinstance(sweep, dict):
-            out.append("sweep block must be an object")
-        else:
-            for key in sweep:
-                if key not in SWEEP_DEFAULTS:
-                    out.append(f"unknown sweep key {key!r}")
+        sweep = _block(out, config, "sweep", SWEEP_DEFAULTS, required=False)
+        if sweep is not None:
             lo, hi, points = ({**SWEEP_DEFAULTS, **sweep}[key] for key in SWEEP_DEFAULTS)
             if not (_is_number(lo) and lo > 0):
                 out.append("ratio_min must be positive")
@@ -228,12 +228,7 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
 
     grid = config.get("grid")
     if effective_command != "sweep":
-        if not isinstance(grid, dict):
-            out.append("grid block is required and must be an object")
-            grid = {}
-        for key in grid:
-            if key not in GRID_KEYS:
-                out.append(f"unknown grid key {key!r}")
+        grid = _block(out, config, "grid", GRID_KEYS, required=True) or {}
         steps = grid.get("steps")
         if type(steps) is not int or not 16 <= steps <= MAX_STEPS:
             out.append("steps must be an integer in [16, 2**20]")

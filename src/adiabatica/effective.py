@@ -7,7 +7,7 @@ diagonal dominance is quantified by three worst-case-over-time ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,20 +74,13 @@ class CriteriaReport:
     r_gap: float
     r_level: float
     epsilon: float
+    verdicts: dict
+    witnesses: dict
     energy_offset: float
-    verdicts: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "r_naive": self.r_naive,
-            "r_gap": self.r_gap,
-            "r_level": self.r_level,
-            "epsilon": self.epsilon,
-            "verdicts": dict(self.verdicts),
-            "witnesses": self.witnesses,
-            "energy_offset": self.energy_offset,
-        }
+        """The fields as a (deep-copied) dict, in the declared order: the JSON report's."""
+        return asdict(self)
 
 
 def _witness(values: np.ndarray, pick, times: np.ndarray) -> tuple[float, dict]:
@@ -159,10 +152,8 @@ def adiabatic_amplitude(
 ) -> np.ndarray:
     """Adiabatic-approximation amplitude v_n(t) exp{-i int [E_n - A_nn] dt'}.
 
-    The phase integral uses trapezoid quadrature; the connection diagonal is
-    real up to discretization noise, so its real part enters the phase.
+    The phase is the trapezoid-accumulated dynamical phase minus geometric_phase.
     """
-    dt = frames.grid.dt
-    integrand = frames.energies[:, level] - conn.values[:, level, level].real
-    phase = accumulate_trapezoid(integrand, dt)
+    dynamical = accumulate_trapezoid(frames.energies[:, level], frames.grid.dt)
+    phase = dynamical - geometric_phase(conn, level)
     return frames.vectors[:, :, level] * np.exp(-1j * phase)[:, None]

@@ -65,6 +65,18 @@ def require_hermitian_batch(hams: np.ndarray) -> float:
     return scale
 
 
+def require_unitary(stack: np.ndarray, tol: float, what: str) -> None:
+    """Raise AdiabaticaError unless max|X^dagger X - I| over a stack of square matrices is <= tol.
+
+    NaN-safe: a non-finite X fails. The message reads "<what>: defect <value>".
+    """
+    gram = matmul(dagger(stack), stack)
+    gram -= np.eye(stack.shape[-1])
+    defect = max_abs(gram)
+    if not defect <= tol:
+        raise AdiabaticaError(f"{what}: defect {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianEigenResult:
     """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
@@ -109,8 +121,6 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
     a[diag] -= m[:, None]
     a *= -1j * s
     x = float(np.abs(a).sum(axis=1).max(initial=0.0))
-    if not math.isfinite(x):
-        raise AdiabaticaError("step phase overflows: |s| ||H - tr(H)/N||_1 is not finite")
     q = 0
     while x > TAYLOR_MAX_NORM:
         x, q = x / 2, q + 1
@@ -138,13 +148,16 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
     triangle as eigh reads it, has the closed form
     e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Every other N takes
     a scaled-and-squared Taylor series of the traceless part (_taylor_step).
-    Both routes are unitary to rounding. N ||H||_max bounds every eigenvalue,
-    so an AdiabaticaError is raised before any phase s w can overflow.
+    Both routes are unitary to rounding. Before any arithmetic on H, AdiabaticaError
+    is raised unless |s| N ||H||_max, a bound on every phase s w, is finite, and off
+    N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach 2 ||H||_max.
     """
-    bound = abs(float(s)) * hams.shape[-1] * require_hermitian_batch(hams)
-    if not np.isfinite(bound):
-        raise AdiabaticaError("step phase overflows: |s| N ||H||_max is not finite")
-    if hams.shape[-1] != 2:
+    n, s_abs = hams.shape[-1], abs(float(s))
+    scale = require_hermitian_batch(hams)
+    bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
+    if not math.isfinite(bound):
+        raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")
+    if n != 2:
         return _taylor_step(hams, s)
     h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
     m, z = 0.5 * (h00 + h11), 0.5 * (h00 - h11)

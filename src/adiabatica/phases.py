@@ -21,7 +21,6 @@ from .propagation import _coefficient_propagators, propagate
 from .spectral import (
     ConnectionMatrix,
     FrameTrajectory,
-    Gauge,
     HamiltonianSpec,
     TimeGrid,
     build_frames,

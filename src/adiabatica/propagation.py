@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .errors import AdiabaticaError
-from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs
+from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
 from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, build_frames
 
 UNITARITY_RTOL = 1e-10
@@ -58,11 +57,7 @@ def _midpoint_propagators(mids: np.ndarray, dt: float) -> np.ndarray:
     AdiabaticaError when max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN.
     """
     propagators = _accumulate(exp_antihermitian_batch(mids, dt))
-    gram = matmul(dagger(propagators), propagators)
-    gram -= np.eye(propagators.shape[-1])
-    drift = max_abs(gram)
-    if not drift <= UNITARITY_RTOL * len(mids):  # NaN-safe
-        raise AdiabaticaError(f"propagator lost unitarity: drift {drift:.3e}")
+    require_unitary(propagators, UNITARITY_RTOL * len(mids), "propagator lost unitarity")
     return propagators
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdiabaticaError, EigenGapTooSmallError
-from .numerics import dagger, matmul, require_hermitian_batch
+from .numerics import dagger, matmul, require_hermitian_batch, require_unitary
 
 GAP_FLOOR_RTOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -145,13 +145,6 @@ def _check_gaps(energies: np.ndarray, scale: float) -> None:
         )
 
 
-def _check_orthonormal(vectors: np.ndarray) -> None:
-    eye = np.eye(vectors.shape[-1])
-    defect = np.max(np.abs(matmul(dagger(vectors), vectors) - eye))
-    if defect > ORTHONORMALITY_TOL:
-        raise ValueError(f"frames not orthonormal: defect {defect:.3e}")
-
-
 def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     """Instantaneous eigenframes at every grid time.
 
@@ -162,7 +155,9 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).
 
-    Raises AdiabaticaError on non-finite analytic energies or vectors,
+    Raises AdiabaticaError on non-finite analytic energies or vectors or on
+    max|V^dagger V - I| above ORTHONORMALITY_TOL (a barred_model spec inherits the
+    drift of its 2 * steps propagator and can fail it: 1.85e-10 at 2**20 steps),
     NotHermitianError on non-finite or non-Hermitian samples, and
     EigenGapTooSmallError when an adjacent-level gap falls below
     1e-10 * ||H||_max (crossings are unsupported) or an overlap
@@ -173,7 +168,7 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
         energies, vectors, derivs = spec.analytic_frame(times)
         if not (np.isfinite(energies).all() and np.isfinite(vectors).all()):
             raise AdiabaticaError("analytic frame has non-finite energies or vectors")
-        _check_orthonormal(vectors)
+        require_unitary(vectors, ORTHONORMALITY_TOL, "analytic frames not orthonormal")
         _check_gaps(energies, float(np.max(np.abs(energies))))
         return FrameTrajectory(grid, energies, vectors, Gauge.MODEL_ANALYTIC, derivs)
 
@@ -198,15 +193,6 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     return FrameTrajectory(grid, energies, vectors, Gauge.CONTINUITY)
 
 
-def _time_derivative(vectors: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences inside, second-order one-sided stencils at the ends."""
-    dv = np.empty_like(vectors)
-    dv[1:-1] = (vectors[2:] - vectors[:-2]) / (2 * dt)
-    dv[0] = (-3 * vectors[0] + 4 * vectors[1] - vectors[2]) / (2 * dt)
-    dv[-1] = (3 * vectors[-1] - 4 * vectors[-2] + vectors[-3]) / (2 * dt)
-    return dv
-
-
 def connection(frames: FrameTrajectory) -> ConnectionMatrix:
     """Geometric connection A_nm(t) = <v_n(t) | i d/dt v_m(t)> on the frame grid."""
     if frames.grid.steps < 2:
@@ -214,7 +200,8 @@ def connection(frames: FrameTrajectory) -> ConnectionMatrix:
     if frames.gauge is Gauge.MODEL_ANALYTIC:
         dv = frames.vector_derivatives
     else:
-        dv = _time_derivative(frames.vectors, frames.grid.dt)
+        # central differences inside, second-order one-sided stencils at the ends
+        dv = np.gradient(frames.vectors, frames.grid.dt, axis=0, edge_order=2)
     values = matmul(dagger(frames.vectors), dv)
     values *= 1j
     return ConnectionMatrix(frames.grid, values)

@@ -299,6 +299,22 @@ def test_exit_code_3_on_overflow_prints_one_line(tmp_path, command, model):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_exit_code_3_when_barred_frames_inherit_propagator_drift(tmp_path):
+    # The 2 * 2**20-step propagator behind barred_rotating passes its own drift bound
+    # (1e-10 * 2**21), but the frames built from it (defect 1.85e-10) fail the
+    # orthonormality bound of 1e-10: a numerical error, not a traceback.
+    config = {
+        "model": {"model": "barred_rotating", "mu_B": 1.0, "theta": 1.0, "omega": 0.5},
+        "grid": {"t_start": 0.0, "t_end": 4 * np.pi, "steps": 2**20},
+    }
+    proc = run_cli(tmp_path, "criteria", config)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("adiabatica: numerical error: analytic frames not orthonormal")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_cyclic_holonomy_warns_on_one_line(tmp_path, capsys):
     config = {
         "model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0, "omega": 0.5},

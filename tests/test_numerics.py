@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabatica import NotHermitianError, eig_hermitian, exp_antihermitian, max_abs
+from adiabatica import AdiabaticaError, NotHermitianError, eig_hermitian, exp_antihermitian, max_abs
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, exp_antihermitian_batch, matmul
 
@@ -142,7 +143,8 @@ def test_matmul_equals_numpy_matmul(n, k, s, seed):
 
 
 def eigh_step(hams, s):
-    """The eigh reconstruction V e^{-i s w} V^dagger, the N >= 3 path applied at any N."""
+    """The reference reconstruction V e^{-i s w} V^dagger from eigh, which both step routes
+    (the N = 2 closed form and the scaled-and-squared Taylor series) are checked against."""
     w, V = np.linalg.eigh(hams)
     return (V * np.exp(-1j * s * w)[:, None, :]) @ dagger(V)
 
@@ -244,7 +246,7 @@ def test_taylor_degree_is_the_smallest_meeting_the_bound():
 @pytest.mark.parametrize("n", [8, 16])
 def test_midpoint_steps_on_both_sides_of_the_taylor_crossover(n):
     # The bench's random specs: at its smoke size (16 steps over [0, 10]) the
-    # steps take the eigh route, at 1024 steps the Taylor route.
+    # Taylor route scales and squares the steps, at 1024 steps it sums them unscaled.
     spec = random_smooth_spec(np.random.default_rng(7), n)
     for steps, taylor in ((16, False), (1024, True)):
         dt = 10.0 / steps
@@ -253,6 +255,16 @@ def test_midpoint_steps_on_both_sides_of_the_taylor_crossover(n):
         got = exp_antihermitian_batch(hams, dt)
         assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
         assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14
+
+
+def test_taylor_route_overflow_guard_runs_before_any_arithmetic():
+    # |s| N ||H||_max = 5.1e298 is finite, but H - tr(H)/N overflows: the guard on
+    # 2 max(|s|, 1) N ||H||_max must raise first. numpy warnings are errors here.
+    hams = np.diag([1.7e308, -1.7e308, -1.7e308]).astype(complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdiabaticaError, match="step phase overflows"):
+            exp_antihermitian_batch(hams, 1e-10)
 
 
 def test_exp_rejects_non_square():

@@ -93,6 +93,19 @@ def test_non_finite_analytic_frame_raises():
         build_frames(HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame), grid)
 
 
+def test_non_orthonormal_analytic_frame_raises_a_numerical_error():
+    # Vectors scaled by 1 + 5e-10 leave max|V^dagger V - I| near 1e-9, above the 1e-10 bound.
+    spec = rotating_model(RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5))
+
+    def frame(times):
+        energies, vectors, derivs = spec.analytic_frame(times)
+        return energies, vectors * (1 + 5e-10), derivs
+
+    grid = TimeGrid(0.0, 1.0, 16)
+    with pytest.raises(AdiabaticaError, match="not orthonormal"):
+        build_frames(HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame), grid)
+
+
 def test_static_frames_constant():
     grid = TimeGrid(0.0, 5.0, 32)
     frames = build_frames(static_spec(SIGMA_Z), grid)
