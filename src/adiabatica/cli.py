@@ -226,8 +226,9 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     if effective_command == "composition-check" and name is not None and name != "ms_second":
         out.append("composition-check requires the ms_second model")
 
-    grid = config.get("grid")
-    if effective_command != "sweep":
+    if effective_command == "sweep":
+        _block(out, config, "grid", GRID_KEYS, required=False)  # run_sweep reads no grid
+    else:
         grid = _block(out, config, "grid", GRID_KEYS, required=True) or {}
         steps = grid.get("steps")
         if type(steps) is not int or not 16 <= steps <= MAX_STEPS:
@@ -237,8 +238,6 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             # barred_model also builds the grid at half steps; if that one holds, so does this
             built = 2 * steps if name == "barred_rotating" else steps
             _construct(out, "grid", TimeGrid, t_start, t_end, built)
-    elif grid is not None and not isinstance(grid, dict):
-        out.append("grid block must be an object")
 
     epsilon = config.get("epsilon", 0.1)
     if not (_is_number(epsilon) and epsilon > 0):

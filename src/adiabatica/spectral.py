@@ -91,15 +91,22 @@ class HamiltonianSpec:
     batched: bool = False
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """H at each of the K times, shape (K, N, N): one batched call or a scalar loop."""
+        """H at each of the K times, shape (K, N, N): one batched call or a scalar loop.
+
+        Raises ValueError when a return has any other shape; nothing is broadcast.
+        """
         if self.batched:
             hams = np.asarray(self.evaluate(times), dtype=complex)
             if hams.shape != (len(times), self.dim, self.dim):
                 raise ValueError(f"batched evaluate gave shape {hams.shape} for {len(times)} times")
             return hams
-        hams = np.empty((len(times), self.dim, self.dim), dtype=complex)
+        shape = (self.dim, self.dim)
+        hams = np.empty((len(times),) + shape, dtype=complex)
         for k, t in enumerate(times):
-            hams[k] = self.evaluate(t)
+            h = self.evaluate(t)
+            if getattr(h, "shape", None) != shape and np.shape(h) != shape:  # arrays: one getattr
+                raise ValueError(f"evaluate gave shape {np.shape(h)} at time {t}, not {shape}")
+            hams[k] = h
         return hams
 
 

@@ -74,6 +74,16 @@ def test_validate_never_raises_on_garbage():
     assert validate(huge_mu, command="criteria") == ["rotating model: mu_B must be positive and finite"]
 
 
+def test_validate_reports_unknown_sweep_grid_keys():
+    # run_sweep reads no grid, but a grid block given to it is checked like any other block
+    model = {"model": "rotating", "mu_B": 1, "theta": 1}
+    assert validate({"model": model}, command="sweep") == []
+    assert validate({"model": model, "grid": {"stepz": 1}}, command="sweep") == [
+        "unknown grid key 'stepz'"
+    ]
+    assert validate({"model": model, "grid": []}, command="sweep") == ["grid block must be an object"]
+
+
 def test_exit_code_2_on_integer_beyond_float_range(tmp_path, capsys):
     config = rotating_config()
     config["model"]["mu_B"] = 10**400

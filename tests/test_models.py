@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,7 +23,7 @@ from adiabatica import (
     rotating_geometric_phase,
     rotating_model,
 )
-from adiabatica.models import SIGMA_X, SIGMA_Z, _dot_sigma
+from adiabatica.models import SIGMA_X, SIGMA_Y, SIGMA_Z, _dot_sigma
 from adiabatica.spectral import HamiltonianSpec
 
 
@@ -375,3 +377,20 @@ def test_sample_loops_scalar_calls_and_checks_batched_shape():
     static = HamiltonianSpec(dim=2, evaluate=lambda t: SIGMA_Z, batched=True)
     with pytest.raises(ValueError, match=r"batched evaluate gave shape \(2, 2\) for 5 times"):
         static.sample(times)
+
+
+@pytest.mark.parametrize("value", [1.0, np.ones(2), np.ones((2, 1))])
+def test_unbatched_sample_rejects_returns_it_would_broadcast(value):
+    # assigned into the (K, 2, 2) stack, each would broadcast to a wrong H without error
+    spec = HamiltonianSpec(dim=2, evaluate=lambda t: value)
+    with pytest.raises(ValueError, match=re.escape(f"evaluate gave shape {np.shape(value)} at time 0.0")):
+        spec.sample(np.linspace(0.0, 1.0, 5))
+
+
+def test_scalar_dot_sigma_equals_the_broadcast_products():
+    rng = np.random.default_rng(11)
+    for x, y, z in rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-5, 5, size=(50, 1)):
+        broadcast = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+        assert np.array_equal(_dot_sigma((x, y, z)), broadcast)
+        assert np.array_equal(_dot_sigma(np.array([x, y, z])), broadcast)
+        assert np.array_equal(_dot_sigma((float(x), float(y), float(z))), broadcast)

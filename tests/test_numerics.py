@@ -267,6 +267,34 @@ def test_taylor_route_overflow_guard_runs_before_any_arithmetic():
             exp_antihermitian_batch(hams, 1e-10)
 
 
+def test_two_level_step_halves_before_subtracting():
+    # |s| N ||H||_max = 3.4e298 passes the guard; h00 - h11 = 3.4e308 would overflow.
+    # numpy warnings are errors here.
+    hams = np.diag([1.7e308, -1.7e308]).astype(complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exp_antihermitian_batch(hams, 1e-10)
+    assert np.isfinite(got).all()
+    assert max_abs(dagger(got) @ got - np.eye(2)) <= 1e-15
+
+
+def test_taylor_route_exponentiates_the_hermitian_part():
+    # An anti-Hermitian residue within HERMITICITY_RTOL passes the batch check; the step
+    # must be the Hermitian part's, or exp(s residue) leaves the unitary group as s grows.
+    for hams in (np.eye(3, dtype=complex)[None], np.ones((1, 1, 1), dtype=complex)):
+        residue = np.zeros_like(hams)
+        residue[0, 0, 0] = 2e-13j if hams.shape[-1] == 3 else 4e-13j
+        for s in (1.0, 100.0, 1000.0):
+            got = exp_antihermitian_batch(hams + residue, s)
+            assert max_abs(dagger(got) @ got - np.eye(hams.shape[-1])) <= 1e-14
+    rng = np.random.default_rng(5)
+    y = random_complex(rng, (4, 8, 8))
+    hams = (y + dagger(y)) / 2
+    skew = 1e-13 * (y - dagger(y)) / 2
+    for s in (0.1, 30.0):
+        assert np.array_equal(exp_antihermitian_batch(hams + skew, s), exp_antihermitian_batch(hams, s))
+
+
 def test_exp_rejects_non_square():
     with pytest.raises(NotHermitianError, match="square"):
         exp_antihermitian(np.zeros((2, 3)), 1.0)
