@@ -9,7 +9,6 @@ holonomies. Ships exactly solvable driven two-level models and a CLI.
 from .effective import (
     CriteriaReport,
     EffectiveHamiltonian,
-    adiabatic_amplitude,
     build_effective,
     criteria,
 )
@@ -28,12 +27,11 @@ from .models import (
     ms_candidate_evolution,
     ms_second_model,
     rotating_dynamical_phase,
-    rotating_exact_derivative,
     rotating_exact_solution,
     rotating_geometric_phase,
     rotating_model,
 )
-from .numerics import HermitianEigenResult, eig_hermitian, exp_antihermitian, max_abs
+from .numerics import max_abs
 from .phases import (
     ChainProbeReport,
     GaugeCheckReport,
@@ -76,7 +74,6 @@ __all__ = [
     "GaugeCheckReport",
     "GridMismatchError",
     "HamiltonianSpec",
-    "HermitianEigenResult",
     "Holonomy",
     "MSSecondModelParams",
     "NonCyclicWarning",
@@ -85,7 +82,6 @@ __all__ = [
     "PropagationResult",
     "RotatingModelParams",
     "TimeGrid",
-    "adiabatic_amplitude",
     "barred_model",
     "build_effective",
     "build_frames",
@@ -94,8 +90,6 @@ __all__ = [
     "composition_check",
     "connection",
     "criteria",
-    "eig_hermitian",
-    "exp_antihermitian",
     "gauge_transform_check",
     "holonomy",
     "max_abs",
@@ -107,7 +101,6 @@ __all__ = [
     "phase_split",
     "propagate",
     "rotating_dynamical_phase",
-    "rotating_exact_derivative",
     "rotating_exact_solution",
     "rotating_geometric_phase",
     "rotating_model",

@@ -146,14 +146,3 @@ def criteria(
         witnesses=witnesses,
     )
 
-
-def adiabatic_amplitude(
-    frames: FrameTrajectory, conn: ConnectionMatrix, level: int
-) -> np.ndarray:
-    """Adiabatic-approximation amplitude v_n(t) exp{-i int [E_n - A_nn] dt'}.
-
-    The phase is the trapezoid-accumulated dynamical phase minus geometric_phase.
-    """
-    dynamical = accumulate_trapezoid(frames.energies[:, level], frames.grid.dt)
-    phase = dynamical - geometric_phase(conn, level)
-    return frames.vectors[:, :, level] * np.exp(-1j * phase)[:, None]

@@ -96,10 +96,7 @@ def rotating_model(params: RotatingModelParams) -> HamiltonianSpec:
 
     def evaluate(t):
         phi = omega * t
-        x, y = st * np.cos(phi), st * np.sin(phi)
-        if isinstance(x, np.ndarray):
-            return -muB * _dot_sigma((x, y, ct))
-        return _dot_sigma((-muB * x, -muB * y, -muB * ct))  # a scalar time: no matrix scaling
+        return _dot_sigma((-muB * (st * np.cos(phi)), -muB * (st * np.sin(phi)), -muB * ct))
 
     def frame(t):
         e = np.exp(-1j * omega * t)
@@ -110,43 +107,20 @@ def rotating_model(params: RotatingModelParams) -> HamiltonianSpec:
     return HamiltonianSpec(dim=2, evaluate=evaluate, analytic_frame=frame, batched=True)
 
 
-def _mixed_frame(params: RotatingModelParams, alpha: float, t: float) -> np.ndarray:
-    half = (params.theta - alpha) / 2
-    e = np.exp(-1j * params.omega * t)
-    return np.array(
-        [[math.cos(half) * e, math.sin(half) * e], [math.sin(half), -math.cos(half)]]
-    )
-
-
-def _mixed_energies(params: RotatingModelParams, alpha: float) -> np.ndarray:
-    muB, omega = params.mu_B, params.omega
-    c, cos_alpha = math.cos(params.theta - alpha), math.cos(alpha)
-    return np.array([-muB * cos_alpha - omega / 2 * (1 + c), muB * cos_alpha - omega / 2 * (1 - c)])
-
-
-def rotating_exact_solution(
-    params: RotatingModelParams, level: int, t: float, alpha: Optional[float] = None
-) -> np.ndarray:
+def rotating_exact_solution(params: RotatingModelParams, level: int, t: float) -> np.ndarray:
     """Closed-form solution of the rotating-field Schroedinger equation.
 
-    The state is the constant-mixing-angle frame vector times a constant-rate
-    phase; exact for all drive speeds. Passing alpha overrides the solved
-    mixing angle (useful for limit studies).
+    The state is the frame vector at the constant mixing angle alpha =
+    mixing_angle(params) times a constant-rate phase; exact for all drive speeds.
     """
-    if alpha is None:
-        alpha = mixing_angle(params)
-    w = _mixed_frame(params, alpha, t)[:, level]
-    return w * np.exp(-1j * _mixed_energies(params, alpha)[level] * t)
-
-
-def rotating_exact_derivative(
-    params: RotatingModelParams, level: int, t: float, alpha: Optional[float] = None
-) -> np.ndarray:
-    """Analytic d/dt of rotating_exact_solution."""
-    if alpha is None:
-        alpha = mixing_angle(params)
-    rate = np.array([-1j * params.omega, 0.0]) - 1j * _mixed_energies(params, alpha)[level]
-    return rate * rotating_exact_solution(params, level, t, alpha)
+    muB, omega, alpha = params.mu_B, params.omega, mixing_angle(params)
+    half, c, cos_alpha = (params.theta - alpha) / 2, math.cos(params.theta - alpha), math.cos(alpha)
+    e = np.exp(-1j * omega * t)
+    w = np.array([[math.cos(half) * e, math.sin(half) * e], [math.sin(half), -math.cos(half)]])
+    energies = np.array(
+        [-muB * cos_alpha - omega / 2 * (1 + c), muB * cos_alpha - omega / 2 * (1 - c)]
+    )
+    return w[:, level] * np.exp(-1j * energies[level] * t)
 
 
 def rotating_geometric_phase(params: RotatingModelParams, level: int = 0) -> float:
@@ -230,26 +204,18 @@ class MSSecondModelParams:
         return cls(omega_0=2 * n * (2 * math.pi / tau), tau=tau, regime_n=n)
 
 
-def _ms_field(params: MSSecondModelParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Field vector R(t) and its analytic time derivative, shape (3,) + shape of t."""
+def _ms_field(params: MSSecondModelParams, t) -> np.ndarray:
+    """Field vector R(t), shape (3,) + shape of t."""
     w0, w = params.omega_0, params.omega
-    s2, c2 = np.sin(2 * w0 * t), np.cos(2 * w0 * t)
+    s2 = np.sin(2 * w0 * t)
     s, c = np.sin(w * t), np.cos(w * t)
-    r = np.array(
+    return np.array(
         [
             w0 * c - 0.5 * w * s * s2,
             w0 * s + 0.5 * w * c * s2,
             w * np.sin(w0 * t) ** 2,
         ]
     )
-    rdot = np.array(
-        [
-            -w0 * w * s - 0.5 * w * (w * c * s2 + 2 * w0 * s * c2),
-            w0 * w * c + 0.5 * w * (-w * s * s2 + 2 * w0 * c * c2),
-            w * w0 * s2,
-        ]
-    )
-    return r, rdot
 
 
 def ms_second_model(params: MSSecondModelParams) -> HamiltonianSpec:
@@ -261,10 +227,19 @@ def ms_second_model(params: MSSecondModelParams) -> HamiltonianSpec:
     """
 
     def evaluate(t):
-        return _dot_sigma(_ms_field(params, t)[0])
+        return _dot_sigma(_ms_field(params, t))
 
     def frame(t):
-        r, rdot = _ms_field(params, t)
+        r, w0, w = _ms_field(params, t), params.omega_0, params.omega
+        s2, c2 = np.sin(2 * w0 * t), np.cos(2 * w0 * t)
+        s, c = np.sin(w * t), np.cos(w * t)
+        rdot = np.array(
+            [
+                -w0 * w * s - 0.5 * w * (w * c * s2 + 2 * w0 * s * c2),
+                w0 * w * c + 0.5 * w * (-w * s * s2 + 2 * w0 * c * c2),
+                w * w0 * s2,
+            ]
+        )
         rn = np.sqrt(np.sum(r * r, axis=0))
         rndot = np.sum(r * rdot, axis=0) / rn
         rho = np.hypot(r[0], r[1])  # >= omega_0 > 0, no polar singularity

@@ -1,18 +1,15 @@
 """Dense complex linear-algebra kernel for small Hermitian problems (N <= 16 target).
 
-Eigendecomposition is delegated to LAPACK via numpy.linalg.eigh, which is
-deterministic for identical input and returns ascending eigenvalues. Step
-exponentials exp(-i s H) take one of two routes, chosen from N alone: a closed
-form at N = 2, and for every other N a truncated Taylor series by Horner's
-rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both are unitary to
-rounding, not by construction; propagation checks the accumulated drift.
-Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
+Step exponentials exp(-i s H) take one of two routes, chosen from N alone: a
+closed form at N = 2, and for every other N a truncated Taylor series by
+Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both are
+unitary to rounding, not by construction; propagation checks the accumulated
+drift. Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,26 +72,6 @@ def require_unitary(stack: np.ndarray, tol: float, what: str) -> None:
     defect = max_abs(gram)
     if not defect <= tol:
         raise AdiabaticaError(f"{what}: defect {defect:.3e}")
-
-
-@dataclass(frozen=True)
-class HermitianEigenResult:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(H: np.ndarray) -> HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues come out ascending; eigenvector k is column k of the returned
-    matrix. Output is deterministic for identical input.
-    """
-    H = np.asarray(H, dtype=complex)
-    require_hermitian_batch(H[None])
-    w, V = np.linalg.eigh(H)
-    return HermitianEigenResult(eigenvalues=w, eigenvectors=V)
 
 
 def _taylor_degree(x: float) -> int:
@@ -174,7 +151,3 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
     out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
     return out
 
-
-def exp_antihermitian(H: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i * s * H) for Hermitian H, by exp_antihermitian_batch's two routes; unitary to rounding."""
-    return exp_antihermitian_batch(np.asarray(H, dtype=complex)[None], s)[0]

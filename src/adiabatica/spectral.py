@@ -157,7 +157,8 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
 
     With model-supplied analytic frames they are taken verbatim from one call
     on the whole time array. Otherwise H is sampled with spec.sample (one
-    call for batched specs) and each grid point is eigendecomposed; level n
+    call for batched specs) and each grid point is eigendecomposed by LAPACK
+    through np.linalg.eigh, which is deterministic for identical input; level n
     is the n-th eigenvalue in ascending order, and each eigenvector phase is
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).

@@ -8,15 +8,12 @@ from adiabatica import (
     GridMismatchError,
     RotatingModelParams,
     TimeGrid,
-    adiabatic_amplitude,
     barred_model,
     build_effective,
     build_frames,
     connection,
     criteria,
     max_abs,
-    mixing_angle,
-    rotating_exact_solution,
     rotating_model,
 )
 from adiabatica.effective import accumulate_trapezoid
@@ -188,30 +185,6 @@ def test_barred_connection_identities():
     assert max_abs((barred_conn - base_conn)[:, offdiag]) < 1e-8
     expected_diag = base_conn[:, [0, 1], [0, 1]] - base_frames.energies
     assert max_abs(barred_conn[:, [0, 1], [0, 1]] - expected_diag) < 1e-8
-
-
-def test_adiabatic_amplitude_static():
-    grid = TimeGrid(0.0, 3.0, 32)
-    frames, conn, _ = static_pipeline(SIGMA_Z, grid)
-    psi = adiabatic_amplitude(frames, conn, 0)
-    expected = frames.vectors[:, :, 0] * np.exp(1j * grid.times)[:, None]
-    assert max_abs(psi - expected) < 1e-12
-
-
-def test_adiabatic_amplitude_overlap_with_exact():
-    params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=1e-3)
-    grid = TimeGrid(0.0, params.period, 512)
-    frames = build_frames(rotating_model(params), grid)
-    psi_ad = adiabatic_amplitude(frames, connection(frames), 0)
-
-    # oracle: closed-form evolution of v_+(0) via the mixed-frame expansion
-    a = mixing_angle(params)
-    T = params.period
-    exact = np.cos(a / 2) * rotating_exact_solution(params, 0, T) - np.sin(
-        a / 2
-    ) * rotating_exact_solution(params, 1, T)
-    overlap = abs(np.vdot(psi_ad[-1], exact))
-    assert overlap >= 1 - 1e-4
 
 
 def test_adiabatic_amplitude_geometric_part_exact():

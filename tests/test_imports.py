@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used there or re-exported in __all__."""
+"""Every name a module of the package imports is used there or re-exported in __all__,
+and every name in __all__ has a caller."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adiabatica"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "adiabatica"
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -33,3 +36,25 @@ def test_every_import_is_used_or_exported(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported_names(tree) - used - exported_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names and attributes a file reads; a definition's body does not count for its own name."""
+    names = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        nodes = list(ast.walk(stmt))
+        found = {n.id for n in nodes if isinstance(n, ast.Name)}
+        found |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= found - {getattr(stmt, "name", None)}
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # Callers: the package outside __init__, the benchmark, the acceptance suite, the README.
+    public = exported_names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    called = set().union(*map(referenced_names, files))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    uncalled = {name for name in public - called if not re.search(rf"\b{name}\b", readme)}
+    assert not uncalled, f"__all__ exports {sorted(uncalled)}, which nothing calls"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabatica import AdiabaticaError, NotHermitianError, eig_hermitian, exp_antihermitian, max_abs
+from adiabatica import AdiabaticaError, NotHermitianError, TimeGrid, build_frames, max_abs
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, exp_antihermitian_batch, matmul
 
@@ -23,61 +23,24 @@ def taylor_expm(H: np.ndarray, s: float, terms: int = 32) -> np.ndarray:
     return acc
 
 
-def test_eig_diagonal_input():
-    res = eig_hermitian(np.diag([-1.0, 1.0]).astype(complex))
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0])
-    assert np.allclose(np.abs(res.eigenvectors), np.eye(2))
-
-
-def test_eig_sigma_x():
-    res = eig_hermitian(SIGMA_X)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0])
-    # eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2) up to phase
-    for k, expected in enumerate([np.array([1, -1]) / np.sqrt(2), np.array([1, 1]) / np.sqrt(2)]):
-        overlap = abs(np.vdot(expected, res.eigenvectors[:, k]))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eig_rotating_initial_hamiltonian():
-    # field at angle theta=pi/3 in the xz plane, mu_B = 1
-    theta = np.pi / 3
-    H = -(np.sin(theta) * SIGMA_X + np.cos(theta) * SIGMA_Z)
-    res = eig_hermitian(H)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-12)
-    v_plus = np.array([np.cos(theta / 2), np.sin(theta / 2)])
-    v_minus = np.array([np.sin(theta / 2), -np.cos(theta / 2)])
-    assert abs(np.vdot(v_plus, res.eigenvectors[:, 0])) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(v_minus, res.eigenvectors[:, 1])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_eig_rejects_non_finite():
-    with pytest.raises(NotHermitianError):
-        eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
-
-
 def test_eig_deterministic(rng):
-    H = random_hermitian(rng, 5)
-    a = eig_hermitian(H)
-    b = eig_hermitian(H.copy())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    spec = random_smooth_spec(rng, 5)
+    grid = TimeGrid(0.0, 1.0, 64)
+    a, b = build_frames(spec, grid), build_frames(spec, grid)
+    assert np.array_equal(a.energies, b.energies)
+    assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_exp_zero_generator():
-    assert np.allclose(exp_antihermitian(np.zeros((3, 3)), 2.7), np.eye(3), atol=1e-15)
+    assert np.allclose(exp_antihermitian_batch(np.zeros((1, 3, 3)), 2.7)[0], np.eye(3), atol=1e-15)
 
 
 def test_exp_sigma_z_pi():
-    assert max_abs(exp_antihermitian(SIGMA_Z, np.pi) + np.eye(2)) < 1e-12
+    assert max_abs(exp_antihermitian_batch(SIGMA_Z[None], np.pi)[0] + np.eye(2)) < 1e-12
 
 
 def test_exp_sigma_x_half_pi_vs_taylor_oracle():
-    got = exp_antihermitian(SIGMA_X, np.pi / 2)
+    got = exp_antihermitian_batch(SIGMA_X[None], np.pi / 2)[0]
     assert max_abs(got - taylor_expm(SIGMA_X, np.pi / 2)) < 1e-12
     assert max_abs(got - (-1j * SIGMA_X)) < 1e-12
 
@@ -85,29 +48,15 @@ def test_exp_sigma_x_half_pi_vs_taylor_oracle():
 def test_exp_unitarity_random(rng):
     for n in (2, 3, 5, 8):
         H = random_hermitian(rng, n)
-        U = exp_antihermitian(H, 0.83)
+        U = exp_antihermitian_batch(H[None], 0.83)[0]
         assert max_abs(U.conj().T @ U - np.eye(n)) < 1e-12
 
 
 def test_exp_semigroup_same_generator(rng):
     H = random_hermitian(rng, 4)
-    lhs = exp_antihermitian(H, 0.4) @ exp_antihermitian(H, 1.1)
-    rhs = exp_antihermitian(H, 1.5)
+    lhs = exp_antihermitian_batch(H[None], 0.4)[0] @ exp_antihermitian_batch(H[None], 1.1)[0]
+    rhs = exp_antihermitian_batch(H[None], 1.5)[0]
     assert max_abs(lhs - rhs) < 1e-11
-
-
-def test_eig_reconstruction(rng):
-    for n in (2, 4, 8):
-        H = random_hermitian(rng, n)
-        res = eig_hermitian(H)
-        rebuilt = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
-        assert max_abs(rebuilt - H) < 1e-11 * max_abs(H)
-
-
-def test_eigenvalues_ascending(rng):
-    H = random_hermitian(rng, 7)
-    res = eig_hermitian(H)
-    assert np.all(np.diff(res.eigenvalues) >= 0)
 
 
 def random_complex(rng, shape):
@@ -297,4 +246,4 @@ def test_taylor_route_exponentiates_the_hermitian_part():
 
 def test_exp_rejects_non_square():
     with pytest.raises(NotHermitianError, match="square"):
-        exp_antihermitian(np.zeros((2, 3)), 1.0)
+        exp_antihermitian_batch(np.zeros((1, 2, 3)), 1.0)
