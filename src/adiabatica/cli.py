@@ -3,13 +3,14 @@
 Commands: simulate, criteria, holonomy, ms-probe, composition-check, sweep.
 Output is deterministic: fixed field order and floats rendered with 17
 significant digits so doubles round-trip losslessly. Exit codes: 0 success,
-2 config validation failure, 3 numerical failure (non-Hermitian input or a
-level crossing).
+2 config validation failure or an output that cannot be written, 3 numerical
+failure (non-Hermitian input or a level crossing).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -469,15 +470,31 @@ def main(argv: Optional[list[str]] = None) -> int:
     fmt = args.format or config.get("format", "json")
     text = _to_csv(header, rows) if fmt == "csv" else _to_json(payload) + "\n"
     output = args.output or config.get("output")
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        if args.verbose:
-            print(f"adiabatica: wrote {output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full device fails here, not in the flush at exit
+    except OSError as exc:
+        print(f"adiabatica: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    if output and args.verbose:
+        print(f"adiabatica: wrote {output}", file=sys.stderr)
     return 0
 
 
-if __name__ == "__main__":
+def console() -> None:
+    """The `adiabatica` command: main() after freezing the heap the imports made.
+
+    gc.freeze() moves those objects to the permanent generation, which the
+    collections at interpreter exit skip; they live until exit anyway. main()
+    itself leaves the garbage collector alone, so callers keep their own heap.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

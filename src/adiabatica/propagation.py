@@ -12,6 +12,7 @@ and squared; far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -162,7 +163,12 @@ def composition_check(
     evolution: Callable[[float, float], np.ndarray],
     triples: Sequence[tuple[float, float, float]],
 ) -> float:
-    """Max over (t1, t2, t3) of ||U(t3,t1) - U(t3,t2) U(t2,t1)||_max."""
+    """Max over (t1, t2, t3) of ||U(t3,t1) - U(t3,t2) U(t2,t1)||_max.
+
+    Each distinct (later, earlier) pair is evaluated once: the triples of n
+    times share n(n-1)/2 pairs.
+    """
+    evolution = functools.cache(evolution)
     worst = 0.0
     for t1, t2, t3 in triples:
         dev = max_abs(evolution(t3, t1) - evolution(t3, t2) @ evolution(t2, t1))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -372,6 +373,71 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdicts"]["naive"] is True
+
+
+def test_console_is_the_script_target():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert '\nadiabatica = "adiabatica.cli:console"\n' in pyproject
+
+
+def test_library_import_leaves_gc_state_unchanged():
+    code = "import gc, adiabatica, adiabatica.cli; print(gc.get_freeze_count(), gc.isenabled())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        (rotating_config(), 0),
+        (rotating_config(epsilon=-1.0), 2),
+        (
+            {
+                "model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0, "omega": 1e308},
+                "grid": {"t_start": 0.0, "t_end": 1e10, "steps": 16},
+            },
+            3,
+        ),
+    ],
+    ids=["exit0", "exit2", "exit3"],
+)
+def test_module_entry_point_matches_in_process_main(tmp_path, capsys, config, code):
+    proc = run_cli(tmp_path, "criteria", config)
+    frozen = gc.get_freeze_count()
+    assert main(["criteria", "--config", write_config(tmp_path, config)]) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def test_exit_code_2_when_output_file_cannot_be_opened(tmp_path):
+    path = write_config(tmp_path, rotating_config())
+    out = tmp_path / "missing" / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path, "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"adiabatica: cannot write output: [Errno 2] No such file or directory: {str(out)!r}"
+    ]
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_exit_code_2_when_stdout_is_full(tmp_path):
+    path = write_config(tmp_path, rotating_config())
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "adiabatica: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_ms_second_regime_mismatch_is_a_config_error(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -177,6 +178,26 @@ def test_effective_evolution_composes():
     times = grid.times
     triples = [(times[0], times[512], times[1024]), (times[128], times[700], times[2048])]
     assert composition_check(evolution, triples) < 1e-10
+
+
+def test_composition_check_evaluates_each_pair_once():
+    # 9 sample times give 84 triples of 3 evolution calls each, but only 36 distinct pairs.
+    params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5)
+    grid = TimeGrid(0.0, params.period, 64)
+    stepping = stepping_evolution(propagate(rotating_model(params), grid))
+    calls = []
+
+    def evolution(t2, t1):
+        calls.append((t2, t1))
+        return stepping(t2, t1)
+
+    triples = list(itertools.combinations(grid.times[::8], 3))
+    worst = composition_check(evolution, triples)
+    assert len(triples) == 84 and len(calls) == len(set(calls)) == 36
+    expected = max(
+        max_abs(stepping(t3, t1) - stepping(t3, t2) @ stepping(t2, t1)) for t1, t2, t3 in triples
+    )
+    assert worst == expected
 
 
 def test_stepping_evolution_rejects_off_grid_times():
