@@ -223,10 +223,10 @@ def test_exit_code_2_on_invalid_config(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
-def run_cli(tmp_path, command, config):
+def run_cli(tmp_path, command, config, *options):
     path = write_config(tmp_path, config)
     return subprocess.run(
-        [sys.executable, "-m", "adiabatica.cli", command, "--config", path],
+        [sys.executable, "-m", "adiabatica.cli", command, "--config", path, *options],
         capture_output=True,
         text=True,
     )
@@ -412,13 +412,8 @@ def test_module_entry_point_matches_in_process_main(tmp_path, capsys, config, co
 
 
 def test_exit_code_2_when_output_file_cannot_be_opened(tmp_path):
-    path = write_config(tmp_path, rotating_config())
     out = tmp_path / "missing" / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path, "--output", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli(tmp_path, "criteria", rotating_config(), "--output", str(out))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         f"adiabatica: cannot write output: [Errno 2] No such file or directory: {str(out)!r}"
