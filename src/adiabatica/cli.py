@@ -13,6 +13,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import warnings
 from functools import partial
@@ -491,9 +492,18 @@ def console() -> None:
     gc.freeze() moves those objects to the permanent generation, which the
     collections at interpreter exit skip; they live until exit anyway. main()
     itself leaves the garbage collector alone, so callers keep their own heap.
+
+    When stdout could not be written, the unwritten bytes stay in its buffer
+    and the flush at exit would fail again, report it and exit 120 instead;
+    pointing stdout at the null device lets the process exit with main()'s code.
     """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -363,18 +364,6 @@ def test_exit_code_3_on_numerical_error(tmp_path, monkeypatch, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_console_entry_point_runs(tmp_path):
-    config = rotating_config()
-    path = write_config(tmp_path, config)
-    proc = subprocess.run(
-        [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["verdicts"]["naive"] is True
-
-
 def test_console_is_the_script_target():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert '\nadiabatica = "adiabatica.cli:console"\n' in pyproject
@@ -387,10 +376,26 @@ def test_library_import_leaves_gc_state_unchanged():
     assert proc.stdout.split() == ["0", "True"]
 
 
+def entry_point_matches_main(tmp_path, capsys, config, code):
+    """`python -m adiabatica.cli` and in-process main() give the same exit code, stdout
+    and stderr, and main() leaves the caller's garbage collector as it found it."""
+    proc = run_cli(tmp_path, "criteria", config)
+    frozen = gc.get_freeze_count()
+    assert main(["criteria", "--config", write_config(tmp_path, config)]) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    return proc
+
+
+def test_console_entry_point_runs(tmp_path, capsys):
+    proc = entry_point_matches_main(tmp_path, capsys, rotating_config(), 0)
+    assert json.loads(proc.stdout)["verdicts"]["naive"] is True
+
+
 @pytest.mark.parametrize(
     "config, code",
     [
-        (rotating_config(), 0),
         (rotating_config(epsilon=-1.0), 2),
         (
             {
@@ -400,15 +405,10 @@ def test_library_import_leaves_gc_state_unchanged():
             3,
         ),
     ],
-    ids=["exit0", "exit2", "exit3"],
+    ids=["exit2", "exit3"],
 )
 def test_module_entry_point_matches_in_process_main(tmp_path, capsys, config, code):
-    proc = run_cli(tmp_path, "criteria", config)
-    frozen = gc.get_freeze_count()
-    assert main(["criteria", "--config", write_config(tmp_path, config)]) == code
-    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
-    captured = capsys.readouterr()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    entry_point_matches_main(tmp_path, capsys, config, code)
 
 
 def test_exit_code_2_when_output_file_cannot_be_opened(tmp_path):
@@ -421,18 +421,37 @@ def test_exit_code_2_when_output_file_cannot_be_opened(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
-def test_exit_code_2_when_stdout_is_full(tmp_path):
+def closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w")
+
+
+@pytest.mark.parametrize(
+    "sink, fmt, reason",
+    [
+        ("/dev/full", "json", "[Errno 28] No space left on device"),
+        ("/dev/full", "csv", "[Errno 28] No space left on device"),
+        (None, "json", "[Errno 32] Broken pipe"),
+    ],
+    ids=["full-json", "full-csv", "closed-pipe"],
+)
+def test_exit_code_2_when_stdout_cannot_be_written(tmp_path, sink, fmt, reason):
+    if sink and not Path(sink).exists():
+        pytest.skip(f"needs the {sink} device")
     path = write_config(tmp_path, rotating_config())
-    with open("/dev/full", "w") as full:
+    # Buffered stdout keeps the unwritten bytes, which the flush at exit would retry.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(sink, "w") if sink else closed_pipe() as out:
         proc = subprocess.run(
-            [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path],
-            stdout=full,
+            [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path, "--format", fmt],
+            stdout=out,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
     assert proc.returncode == 2
-    assert proc.stderr == "adiabatica: cannot write output: [Errno 28] No space left on device\n"
+    assert proc.stderr == f"adiabatica: cannot write output: {reason}\n"
 
 
 def test_ms_second_regime_mismatch_is_a_config_error(tmp_path):
