@@ -44,7 +44,6 @@ from .propagation import (
 )
 from .spectral import TimeGrid, build_frames, connection
 
-COMMANDS = ("simulate", "criteria", "holonomy", "ms-probe", "composition-check", "sweep")
 TOP_KEYS = {"command", "model", "grid", "epsilon", "energy_offset", "output", "format", "seed", "sweep"}
 MODEL_KEYS = {"model", "mu_B", "theta", "omega", "omega0", "tau", "n"}
 GRID_KEYS = {"t_start", "t_end", "steps"}
@@ -407,6 +406,7 @@ RUNNERS = {
     "composition-check": run_composition_check,
     "sweep": run_sweep,
 }
+COMMANDS = tuple(RUNNERS)
 
 COLUMN_DOCS = {
     "simulate": "CSV columns: t, psi{n}_re_{i}/psi{n}_im_{i} (state components per initial level n), "

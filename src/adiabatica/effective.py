@@ -12,9 +12,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import AdiabaticaError, GridMismatchError
+from .numerics import max_abs
 from .spectral import ConnectionMatrix, FrameTrajectory, TimeGrid
 
-DEGENERATE_DENOMINATOR = 1e-14
+__all__ = ["CriteriaReport", "EffectiveHamiltonian", "build_effective", "criteria"]
+
+DEGENERATE_RTOL = 1e-14
 WITNESS_RTOL = 1e-9
 
 
@@ -66,8 +69,9 @@ class CriteriaReport:
     over the grid divided by a global minimum denominator: bare level
     differences (r_naive), differences of the effective diagonal (r_gap), or
     magnitudes of the effective diagonal shifted by energy_offset (r_level).
-    A verdict is True when its ratio is below epsilon. Denominators smaller
-    than 1e-14 yield an infinite ratio and a False verdict.
+    A verdict is True when its ratio is below epsilon. Denominators at or
+    below 1e-14 * max|E_n(t)| yield an infinite ratio and a False verdict, so
+    the ratios do not depend on the energy unit.
     """
 
     r_naive: float
@@ -127,8 +131,10 @@ def criteria(
     gap_den, witnesses["gap_denominator"] = _witness(gap, np.argmin, times)
     level_den, witnesses["level_denominator"] = _witness(level, np.argmin, times)
 
+    floor = DEGENERATE_RTOL * max_abs(E)
+
     def ratio(den: float) -> float:
-        return numerator / den if den >= DEGENERATE_DENOMINATOR else float("inf")
+        return numerator / den if den > floor else float("inf")
 
     r_naive, r_gap, r_level = ratio(naive_den), ratio(gap_den), ratio(level_den)
     verdicts = {

@@ -1,5 +1,13 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "AdiabaticaError",
+    "EigenGapTooSmallError",
+    "GridMismatchError",
+    "NonCyclicWarning",
+    "NotHermitianError",
+]
+
 
 class AdiabaticaError(Exception):
     """Base class for numerical failures raised by this package."""

@@ -18,6 +18,19 @@ from .numerics import dagger, matmul
 from .propagation import stepping_propagators
 from .spectral import HamiltonianSpec, TimeGrid
 
+__all__ = [
+    "MSSecondModelParams",
+    "RotatingModelParams",
+    "barred_model",
+    "mixing_angle",
+    "ms_candidate_evolution",
+    "ms_second_model",
+    "rotating_dynamical_phase",
+    "rotating_exact_solution",
+    "rotating_geometric_phase",
+    "rotating_model",
+]
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import AdiabaticaError, NotHermitianError
 
+__all__ = ["max_abs"]
+
 HERMITICITY_RTOL = 1e-12
 TAYLOR_MAX_NORM = 1.0  # |s| ||H - tr(H)/N||_1 that scaling reaches before the Taylor series
 SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
@@ -46,20 +48,18 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def require_hermitian_batch(hams: np.ndarray) -> float:
+def require_hermitian_batch(hams: np.ndarray) -> None:
     """Raise NotHermitianError unless a (K, N, N) stack is finite and Hermitian.
 
-    The tolerance is HERMITICITY_RTOL * ||stack||_max; returns that max-modulus scale.
+    The tolerance is HERMITICITY_RTOL * ||stack||_max. HamiltonianSpec.sample is
+    the one caller: every H enters the library there.
     """
-    if hams.ndim != 3 or hams.shape[1] != hams.shape[2]:
-        raise NotHermitianError(f"expected a stack of square matrices, got shape {hams.shape}")
     scale = max_abs(hams)
     defect = max_abs(hams - dagger(hams))
     if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
         )
-    return scale
 
 
 def require_unitary(stack: np.ndarray, tol: float, what: str) -> None:
@@ -86,7 +86,7 @@ def _taylor_degree(x: float) -> int:
 def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
     """exp(-i s H) by a truncated Taylor series, scaled and squared.
 
-    Only the Hermitian part (H + H^dagger)/2 is exponentiated, the matrix the batch
+    Only the Hermitian part (H + H^dagger)/2 is exponentiated, the matrix the sampling
     check accepted, so a residue within HERMITICITY_RTOL cannot grow with |s|.
     It is H = m I + H0 with m = tr(H)/N, so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0.
     A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1.
@@ -122,7 +122,7 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
 
 
 def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i * s * H) for each H of a (K, N, N) stack; NotHermitianError unless finite and Hermitian.
+    """exp(-i * s * H) for each H of a (K, N, N) stack of Hermitian matrices, trusted as given.
 
     At N = 2, H = m I + r . sigma, read from the real diagonal and the lower
     triangle as eigh reads it, has the closed form
@@ -130,10 +130,11 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
     a scaled-and-squared Taylor series of the traceless part (_taylor_step).
     Both routes are unitary to rounding. Before any arithmetic on H, AdiabaticaError
     is raised unless |s| N ||H||_max, a bound on every phase s w, is finite, and off
-    N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach 2 ||H||_max.
+    N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach 2 ||H||_max;
+    so a non-finite stack is rejected too.
     """
     n, s_abs = hams.shape[-1], abs(float(s))
-    scale = require_hermitian_batch(hams)
+    scale = max_abs(hams)
     bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
     if not math.isfinite(bound):
         raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")

@@ -27,6 +27,18 @@ from .spectral import (
     connection,
 )
 
+__all__ = [
+    "ChainProbeReport",
+    "GaugeCheckReport",
+    "Holonomy",
+    "PhaseSplit",
+    "gauge_transform_check",
+    "holonomy",
+    "ms_inconsistency_probe",
+    "parallel_transport",
+    "phase_split",
+]
+
 CYCLIC_RTOL = 1e-10
 
 

@@ -4,9 +4,12 @@ Each step applies exp(-i * H(t_k + dt/2) * dt), a second-order Magnus
 truncation; propagators accumulate left-multiplicatively so U[k] evolves from
 t_start to t_k. All K steps are exponentiated in one batched call
 (numerics.exp_antihermitian_batch), and the prefix products are a blocked scan
-of batched products (see _accumulate), so no Python loop runs per step. Steps
-are unitary to rounding, so every accumulated stack, direct or in coefficient
-space, is checked for drift (_midpoint_propagators). Coarse steps are scaled
+of batched products (see _accumulate), so no Python loop runs per step. The
+kernel trusts its generators: H is checked finite and Hermitian where it is
+sampled (HamiltonianSpec.sample), and the coefficient route's midpoints of M
+are Hermitian by construction; the kernel's overflow guard still rejects a
+non-finite stack. Steps are unitary to rounding, so every accumulated stack,
+direct or in coefficient space, is checked for drift (_midpoint_propagators). Coarse steps are scaled
 and squared; far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
 """
 
@@ -22,6 +25,16 @@ import numpy as np
 from .effective import EffectiveHamiltonian
 from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
 from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, build_frames
+
+__all__ = [
+    "PropagationResult",
+    "coefficient_evolution",
+    "coefficient_propagate",
+    "composition_check",
+    "propagate",
+    "stepping_evolution",
+    "stepping_propagators",
+]
 
 UNITARITY_RTOL = 1e-10
 
@@ -64,7 +77,8 @@ def _midpoint_propagators(mids: np.ndarray, dt: float) -> np.ndarray:
 
 def _effective_mids(eff: EffectiveHamiltonian) -> np.ndarray:
     # Midpoint generator from adjacent grid samples, symmetrized because the
-    # discrete connection carries O(dt^2) Hermiticity noise.
+    # discrete connection carries O(dt^2) Hermiticity noise; 0.5 (M + M^dagger)
+    # is exactly Hermitian in floating point, so the step kernel needs no check.
     mids = 0.5 * (eff.values[:-1] + eff.values[1:])
     return 0.5 * (mids + dagger(mids))
 
@@ -92,8 +106,8 @@ class PropagationResult:
 def stepping_propagators(spec: HamiltonianSpec, grid: TimeGrid) -> np.ndarray:
     """Accumulated midpoint-exponential propagators U(t_k, t_start), shape (steps+1, N, N).
 
-    Raises NotHermitianError when a midpoint sample is non-finite or not Hermitian,
-    and AdiabaticaError on unitarity drift beyond UNITARITY_RTOL * steps.
+    Raises NotHermitianError from spec.sample when a midpoint sample is non-finite or
+    not Hermitian, and AdiabaticaError on unitarity drift beyond UNITARITY_RTOL * steps.
     """
     return _midpoint_propagators(spec.sample(grid.times[:-1] + grid.dt / 2), grid.dt)
 

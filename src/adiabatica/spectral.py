@@ -15,7 +15,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdiabaticaError, EigenGapTooSmallError
-from .numerics import dagger, matmul, require_hermitian_batch, require_unitary
+from .numerics import dagger, matmul, max_abs, require_hermitian_batch, require_unitary
+
+__all__ = [
+    "ConnectionMatrix",
+    "FrameTrajectory",
+    "Gauge",
+    "HamiltonianSpec",
+    "TimeGrid",
+    "build_frames",
+    "connection",
+]
 
 GAP_FLOOR_RTOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
@@ -94,19 +104,22 @@ class HamiltonianSpec:
         """H at each of the K times, shape (K, N, N): one batched call or a scalar loop.
 
         Raises ValueError when a return has any other shape; nothing is broadcast.
+        Raises NotHermitianError unless the stack is finite and Hermitian: this is
+        the one check of H, so the frames and step kernels trust what they get.
         """
         if self.batched:
             hams = np.asarray(self.evaluate(times), dtype=complex)
             if hams.shape != (len(times), self.dim, self.dim):
                 raise ValueError(f"batched evaluate gave shape {hams.shape} for {len(times)} times")
-            return hams
-        shape = (self.dim, self.dim)
-        hams = np.empty((len(times),) + shape, dtype=complex)
-        for k, t in enumerate(times):
-            h = self.evaluate(t)
-            if getattr(h, "shape", None) != shape and np.shape(h) != shape:  # arrays: one getattr
-                raise ValueError(f"evaluate gave shape {np.shape(h)} at time {t}, not {shape}")
-            hams[k] = h
+        else:
+            shape = (self.dim, self.dim)
+            hams = np.empty((len(times),) + shape, dtype=complex)
+            for k, t in enumerate(times):
+                h = self.evaluate(t)
+                if getattr(h, "shape", None) != shape and np.shape(h) != shape:  # arrays: one getattr
+                    raise ValueError(f"evaluate gave shape {np.shape(h)} at time {t}, not {shape}")
+                hams[k] = h
+        require_hermitian_batch(hams)
         return hams
 
 
@@ -142,10 +155,11 @@ class ConnectionMatrix:
     values: np.ndarray
 
 
-def _check_gaps(energies: np.ndarray, scale: float) -> None:
+def _check_gaps(energies: np.ndarray) -> None:
+    """EigenGapTooSmallError when an adjacent-level gap is at most GAP_FLOOR_RTOL * max|E|."""
     gaps = np.diff(np.sort(energies, axis=1), axis=1)
-    floor = GAP_FLOOR_RTOL * scale
-    if gaps.size and np.min(gaps) < floor:
+    floor = GAP_FLOOR_RTOL * max_abs(energies)
+    if gaps.size and np.min(gaps) <= floor:
         k = int(np.argmin(np.min(gaps, axis=1)))
         raise EigenGapTooSmallError(
             f"adjacent-level gap {np.min(gaps):.3e} below {floor:.3e} at grid index {k}"
@@ -166,9 +180,9 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     Raises AdiabaticaError on non-finite analytic energies or vectors or on
     max|V^dagger V - I| above ORTHONORMALITY_TOL (a barred_model spec inherits the
     drift of its 2 * steps propagator and can fail it: 1.85e-10 at 2**20 steps),
-    NotHermitianError on non-finite or non-Hermitian samples, and
-    EigenGapTooSmallError when an adjacent-level gap falls below
-    1e-10 * ||H||_max (crossings are unsupported) or an overlap
+    NotHermitianError on non-finite or non-Hermitian samples (from spec.sample), and
+    EigenGapTooSmallError when an adjacent-level gap is at most
+    1e-10 * max|E_n(t)| (crossings are unsupported) or an overlap
     |<v_{k-1,n}|v_{k,n}>| is at most 1/sqrt(2) (under-resolved grid).
     """
     times = grid.times
@@ -177,13 +191,11 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
         if not (np.isfinite(energies).all() and np.isfinite(vectors).all()):
             raise AdiabaticaError("analytic frame has non-finite energies or vectors")
         require_unitary(vectors, ORTHONORMALITY_TOL, "analytic frames not orthonormal")
-        _check_gaps(energies, float(np.max(np.abs(energies))))
+        _check_gaps(energies)
         return FrameTrajectory(grid, energies, vectors, Gauge.MODEL_ANALYTIC, derivs)
 
-    hams = spec.sample(times)
-    scale = require_hermitian_batch(hams)
-    energies, vectors = np.linalg.eigh(hams)
-    _check_gaps(energies, scale)
+    energies, vectors = np.linalg.eigh(spec.sample(times))
+    _check_gaps(energies)
 
     # Continuity gauge: multiply level n at step k by the conjugate phases of the
     # overlaps <v_{j-1,n}|v_{j,n}>, j <= k. An overlap above 1/sqrt(2) is the unique
@@ -202,10 +214,14 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
 
 
 def connection(frames: FrameTrajectory) -> ConnectionMatrix:
-    """Geometric connection A_nm(t) = <v_n(t) | i d/dt v_m(t)> on the frame grid."""
+    """Geometric connection A_nm(t) = <v_n(t) | i d/dt v_m(t)> on the frame grid.
+
+    d/dt v is the frames' vector_derivatives when they carry them, whatever their
+    gauge label, and second-order finite differences of the vectors otherwise.
+    """
     if frames.grid.steps < 2:
         raise ValueError("connection needs at least 2 grid steps")
-    if frames.gauge is Gauge.MODEL_ANALYTIC:
+    if frames.vector_derivatives is not None:
         dv = frames.vector_derivatives
     else:
         # central differences inside, second-order one-sided stencils at the ends

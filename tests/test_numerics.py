@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabatica import AdiabaticaError, NotHermitianError, TimeGrid, build_frames, max_abs
+from adiabatica import AdiabaticaError, TimeGrid, build_frames, max_abs
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, exp_antihermitian_batch, matmul
 
@@ -242,8 +242,3 @@ def test_taylor_route_exponentiates_the_hermitian_part():
     skew = 1e-13 * (y - dagger(y)) / 2
     for s in (0.1, 30.0):
         assert np.array_equal(exp_antihermitian_batch(hams + skew, s), exp_antihermitian_batch(hams, s))
-
-
-def test_exp_rejects_non_square():
-    with pytest.raises(NotHermitianError, match="square"):
-        exp_antihermitian_batch(np.zeros((1, 2, 3)), 1.0)

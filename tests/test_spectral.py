@@ -14,11 +14,13 @@ from adiabatica import (
     NotHermitianError,
     RotatingModelParams,
     TimeGrid,
+    barred_model,
     build_frames,
     connection,
     holonomy,
     max_abs,
     ms_second_model,
+    propagate,
     rotating_model,
     stepping_propagators,
 )
@@ -272,9 +274,22 @@ def test_non_finite_spec_raises():
         return np.array([[value, 0.2], [0.2, -1.0]], dtype=complex)
 
     spec = HamiltonianSpec(dim=2, evaluate=evaluate)
-    for stage in (build_frames, stepping_propagators):
+    for stage in (build_frames, stepping_propagators, propagate, barred_model):
         with pytest.raises(NotHermitianError):
             stage(spec, TimeGrid(0.0, 1.0, 16))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-time", "batched"])
+@pytest.mark.parametrize("lower", [np.nan, 0.5], ids=["non-finite", "non-Hermitian"])
+def test_sample_is_the_hermitian_check_on_both_paths(batched, lower):
+    H = np.array([[1.0, 0.2], [lower, -1.0]], dtype=complex)
+
+    def evaluate(t):
+        return np.broadcast_to(H, np.shape(t) + H.shape)
+
+    spec = HamiltonianSpec(dim=2, evaluate=evaluate, batched=batched)
+    with pytest.raises(NotHermitianError, match="non-finite or non-Hermitian samples"):
+        spec.sample(np.linspace(0.0, 1.0, 5))
 
 
 def test_under_resolved_grid_raises():
