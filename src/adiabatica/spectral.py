@@ -162,7 +162,7 @@ def _check_gaps(energies: np.ndarray) -> None:
     if gaps.size and np.min(gaps) <= floor:
         k = int(np.argmin(np.min(gaps, axis=1)))
         raise EigenGapTooSmallError(
-            f"adjacent-level gap {np.min(gaps):.3e} below {floor:.3e} at grid index {k}"
+            f"adjacent-level gap {np.min(gaps):.3e} at or below {floor:.3e} at grid index {k}"
         )
 
 
