@@ -7,9 +7,10 @@ t_start to t_k. All K steps are exponentiated in one batched call
 of batched products (see _accumulate), so no Python loop runs per step. The
 kernel trusts its generators: H is checked finite and Hermitian where it is
 sampled (HamiltonianSpec.sample), and the coefficient route's midpoints of M
-are Hermitian by construction; the kernel's overflow guard still rejects a
-non-finite stack. Steps are unitary to rounding, so every accumulated stack,
-direct or in coefficient space, is checked for drift (_midpoint_propagators). Coarse steps are scaled
+are Hermitian by construction and finite because build_frames checked the
+frames; the kernel's overflow guard still rejects a non-finite stack. Steps
+are unitary to rounding, so every accumulated stack, direct or in coefficient
+space, is checked for drift (_midpoint_propagators). Coarse steps are scaled
 and squared; far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
 """
 

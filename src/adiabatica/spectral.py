@@ -177,7 +177,7 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).
 
-    Raises AdiabaticaError on non-finite analytic energies or vectors or on
+    Raises AdiabaticaError on non-finite analytic energies, vectors or derivatives or on
     max|V^dagger V - I| above ORTHONORMALITY_TOL (a barred_model spec inherits the
     drift of its 2 * steps propagator and can fail it: 1.85e-10 at 2**20 steps),
     NotHermitianError on non-finite or non-Hermitian samples (from spec.sample), and
@@ -188,8 +188,8 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     times = grid.times
     if spec.analytic_frame is not None:
         energies, vectors, derivs = spec.analytic_frame(times)
-        if not (np.isfinite(energies).all() and np.isfinite(vectors).all()):
-            raise AdiabaticaError("analytic frame has non-finite energies or vectors")
+        if not all(np.isfinite(x).all() for x in (energies, vectors, derivs)):
+            raise AdiabaticaError("analytic frame has non-finite energies, vectors or derivatives")
         require_unitary(vectors, ORTHONORMALITY_TOL, "analytic frames not orthonormal")
         _check_gaps(energies)
         return FrameTrajectory(grid, energies, vectors, Gauge.MODEL_ANALYTIC, derivs)

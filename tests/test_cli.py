@@ -60,6 +60,30 @@ def test_validate_rejects_unknown_keys():
     assert any("unknown model key 'surprise'" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        (None, {"command": "nonsense"}, f"command must be one of {COMMANDS}"),
+        (
+            "sweep",
+            {"command": "sweep", "model": {"model": "ms_second", "omega0": 1.0, "tau": 1.0}},
+            "sweep requires the rotating model",
+        ),
+        ("sweep", {"command": "sweep", "sweep": {"ratio_min": 0}}, "ratio_min must be positive"),
+        (
+            "sweep",
+            {"command": "sweep", "sweep": {"ratio_min": 1.0, "ratio_max": 0.5}},
+            "ratio_max must exceed ratio_min",
+        ),
+        ("criteria", {"sweep": {}}, "sweep block is only valid for the sweep command"),
+        ("criteria", {"energy_offset": "1"}, "energy_offset must be a number"),
+        ("criteria", {"output": 3}, "output must be a path string"),
+    ],
+)
+def test_validate_message(command, overrides, message):
+    assert validate(rotating_config(**overrides), command=command) == [message]
+
+
 def test_validate_command_mismatch():
     violations = validate(rotating_config(), command="sweep")
     assert any("does not match" in v for v in violations)
@@ -102,8 +126,13 @@ def test_validate_steps_maximum_before_allocation():
         assert validate(config, command="criteria") == ["steps must be an integer in [16, 2**20]"]
 
 
-def test_criteria_command_verdicts(tmp_path, capsys):
-    path = write_config(tmp_path, rotating_config())
+@pytest.mark.parametrize("unit", [1.0, 1e-15])
+def test_criteria_command_verdicts(tmp_path, capsys, unit):
+    # The same physics in an energy unit 1e15 times larger: mu_B and omega shrink, t grows.
+    config = rotating_config()
+    config["model"].update(mu_B=unit, omega=1e-3 * unit)
+    config["grid"]["t_end"] = 2 * np.pi / (1e-3 * unit)
+    path = write_config(tmp_path, config)
     assert main(["criteria", "--config", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdicts"] == {"naive": True, "gap": True, "level": True}
@@ -296,6 +325,8 @@ def test_exit_code_3_on_non_finite_analytic_frame(tmp_path, capsys):
         ("simulate", {"mu_B": 1e300, "theta": 1.0, "omega": 1.0}),  # the step phase overflows
         ("holonomy", {"mu_B": 1e300, "theta": 1.0, "omega": 1.0}),  # the dynamical phase overflows
         ("criteria", {"mu_B": 1.0, "theta": 1.0, "omega": 1e308}),  # omega * t overflows
+        # the barred model's propagator samples H(t) = NaN: HamiltonianSpec.sample rejects it
+        ("criteria", {"model": "barred_rotating", "mu_B": 1.0, "theta": 1.0, "omega": 1e308}),
     ],
 )
 def test_exit_code_3_on_overflow_prints_one_line(tmp_path, command, model):
@@ -339,6 +370,23 @@ def test_non_cyclic_holonomy_warns_on_one_line(tmp_path, capsys):
         "adiabatica: warning: endpoint Hamiltonians differ; "
         "holonomy is not a cyclic invariant here\n"
     )
+
+
+def test_verbose_adds_two_stderr_lines_and_no_output_byte(tmp_path, capsys):
+    path = write_config(tmp_path, rotating_config())
+    report = tmp_path / "report.json"
+    outputs = {}
+    for verbose in ([], ["--verbose"]):
+        assert main(["criteria", "--config", path, *verbose]) == 0
+        stdout = capsys.readouterr()
+        assert main(["criteria", "--config", path, "--output", str(report), *verbose]) == 0
+        to_file = capsys.readouterr()
+        outputs[bool(verbose)] = stdout.out, to_file.out, report.read_bytes()
+        if not verbose:
+            assert stdout.err == to_file.err == ""
+    assert outputs[True] == outputs[False]
+    assert stdout.err == "adiabatica: running criteria\n"
+    assert to_file.err == f"adiabatica: running criteria\nadiabatica: wrote {report}\n"
 
 
 def test_exit_code_2_on_unreadable_config(tmp_path, capsys):

@@ -130,6 +130,27 @@ def test_degenerate_denominator_reports_infinite_ratio():
     assert report.verdicts["level"] is False
 
 
+@pytest.mark.parametrize(
+    "analytic, rel", [(True, 1e-13), (False, 1e-10)], ids=["analytic", "numeric"]
+)
+def test_criteria_do_not_depend_on_the_energy_unit(analytic, rel):
+    # H -> lam H, t -> t / lam is the same physics in an energy unit 1 / lam times larger.
+    reports = {}
+    for lam in (1e-15, 1.0, 1e15):
+        params = RotatingModelParams(mu_B=lam, theta=1.0, omega=lam / 2)
+        spec = rotating_model(params)
+        if not analytic:
+            spec = HamiltonianSpec(dim=2, evaluate=spec.evaluate, batched=True)
+        frames = build_frames(spec, TimeGrid(0.0, params.period, 1024))
+        reports[lam] = criteria(build_effective(frames, connection(frames)))
+    unit = reports[1.0]
+    assert unit.verdicts["gap"] is analytic
+    for report in reports.values():
+        for key in ("r_naive", "r_gap", "r_level"):
+            assert getattr(report, key) == pytest.approx(getattr(unit, key), rel=rel)
+        assert report.verdicts == unit.verdicts
+
+
 def test_criteria_scaling_monotonicity():
     params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.01)
     grid = TimeGrid(0.0, params.period, 128)

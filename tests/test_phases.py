@@ -8,8 +8,10 @@ from adiabatica import (
     NonCyclicWarning,
     RotatingModelParams,
     TimeGrid,
+    build_effective,
     build_frames,
     connection,
+    criteria,
     gauge_transform_check,
     holonomy,
     max_abs,
@@ -137,6 +139,32 @@ def test_parallel_transport_residual_converges(rng):
         residuals.append(max_abs(A[1:-1, [0, 1, 2], [0, 1, 2]]))
     ratio = residuals[0] / residuals[1]
     assert 2.8 < ratio < 6.0
+
+
+def criteria_of(spec, grid):
+    frames = build_frames(spec, grid)
+    return criteria(build_effective(frames, connection(frames)))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (criteria_of, "criteria needs at least two levels"),
+        (
+            lambda spec, grid: gauge_transform_check(spec, grid, []),
+            r"one \(alpha, alpha_dot\) pair per level is required",
+        ),
+        (
+            lambda spec, grid: connection(build_frames(spec, TimeGrid(0.0, 1.0, 1))),
+            "connection needs at least 2 grid steps",
+        ),
+    ],
+    ids=["criteria", "gauge_transform_check", "connection"],
+)
+def test_library_value_error_message(run, message):
+    spec = HamiltonianSpec(dim=1, evaluate=lambda t: np.ones((1, 1)))
+    with pytest.raises(ValueError, match=message):
+        run(spec, TimeGrid(0.0, 1.0, 16))
 
 
 def test_gauge_check_zero_phases_is_exact():

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from adiabatica import (
     stepping_evolution,
     stepping_propagators,
 )
-from adiabatica import propagation
+from adiabatica import numerics, propagation
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import exp_antihermitian_batch
 from adiabatica.propagation import _accumulate, _effective_mids
@@ -37,6 +38,47 @@ from conftest import random_hermitian, random_smooth_spec
 
 def exact_initial(params, level):
     return rotating_exact_solution(params, level, 0.0)
+
+
+@pytest.mark.parametrize(
+    "entry, calls",
+    [
+        ("stepping_propagators", 1),
+        ("numeric build_frames", 1),
+        ("analytic build_frames", 0),
+        ("coefficient_propagate", 0),
+        ("coefficient_evolution", 0),
+    ],
+)
+def test_hamiltonians_are_checked_once_where_they_are_sampled(monkeypatch, entry, calls):
+    # HamiltonianSpec.sample is the one Hermiticity check: frames and step kernels trust
+    # what they are given, so the coefficient route's symmetrized M is never re-checked.
+    params = RotatingModelParams(mu_B=1.0, theta=1.0, omega=0.5)
+    analytic = rotating_model(params)
+    numeric = HamiltonianSpec(dim=2, evaluate=analytic.evaluate, batched=True)
+    grid = TimeGrid(0.0, params.period, 64)
+    frames = build_frames(analytic, grid)
+    eff = build_effective(frames, connection(frames))
+    entries = {
+        "stepping_propagators": lambda: stepping_propagators(numeric, grid),
+        "numeric build_frames": lambda: build_frames(numeric, grid),
+        "analytic build_frames": lambda: build_frames(analytic, grid),
+        "coefficient_propagate": lambda: coefficient_propagate(eff, 0),
+        "coefficient_evolution": lambda: coefficient_evolution(eff),
+    }
+    checked = []
+    check = numerics.require_hermitian_batch
+
+    def counting(hams):
+        checked.append(hams.shape)
+        return check(hams)
+
+    for name, module in list(sys.modules.items()):
+        holds_check = getattr(module, "require_hermitian_batch", None) is check
+        if name.startswith("adiabatica") and holds_check:
+            monkeypatch.setattr(module, "require_hermitian_batch", counting)
+    entries[entry]()
+    assert len(checked) == calls
 
 
 def test_static_propagator_single_generator():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from adiabatica import (
     AdiabaticaError,
     EigenGapTooSmallError,
+    FrameTrajectory,
     Gauge,
     HamiltonianSpec,
     MSSecondModelParams,
@@ -82,13 +83,14 @@ def test_every_accepted_grid_has_strictly_increasing_times(t_start, span_ulps, s
     assert np.all(np.diff(grid.times) > 0)
 
 
-def test_non_finite_analytic_frame_raises():
+@pytest.mark.parametrize("part", [0, 2], ids=["energies", "derivatives"])
+def test_non_finite_analytic_frame_raises(part):
     spec = rotating_model(RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5))
 
     def frame(times):
-        energies, vectors, derivs = spec.analytic_frame(times)
-        energies[3, 0] = np.nan
-        return energies, vectors, derivs
+        arrays = spec.analytic_frame(times)
+        arrays[part][3, 0] = np.nan
+        return arrays
 
     grid = TimeGrid(0.0, 1.0, 16)
     with pytest.raises(AdiabaticaError, match="non-finite"):
@@ -179,12 +181,20 @@ def test_rotating_connection_equator_values():
 
 def finite_difference_connection(frames):
     """Same-gauge dual route: differentiate the stored vectors numerically."""
-    from adiabatica.spectral import FrameTrajectory
-
     fd_frames = FrameTrajectory(
         frames.grid, frames.energies, frames.vectors, Gauge.CONTINUITY
     )
     return connection(fd_frames).values
+
+
+def test_connection_branches_on_the_derivatives_it_reads():
+    # A MODEL_ANALYTIC label without derivatives takes finite differences, as any label does.
+    params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5)
+    frames = build_frames(rotating_model(params), TimeGrid(0.0, params.period, 1024))
+    bare = FrameTrajectory(frames.grid, frames.energies, frames.vectors, Gauge.MODEL_ANALYTIC)
+    values = connection(bare).values
+    assert np.array_equal(values, finite_difference_connection(frames))
+    assert max_abs(values - connection(frames).values) < 1e-5
 
 
 def test_ms_second_connection_numeric_vs_analytic():
@@ -252,10 +262,16 @@ def test_gauge_covariance_quadratic_phase(rng):
             assert max_abs(At[1:-1, a, b] - phase * A[1:-1, a, b]) < tol
 
 
-def test_level_crossing_raises():
-    def evaluate(t: float) -> np.ndarray:
-        return np.diag([t - 0.5, 0.5 - t]).astype(complex)
-
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda t: np.diag([t - 0.5, 0.5 - t]).astype(complex),
+        lambda t: np.zeros((2, 2), dtype=complex),  # gap 0 at a floor of 1e-10 * 0
+        lambda t: 3 * np.eye(2, dtype=complex),
+    ],
+    ids=["crossing", "zero", "degenerate"],
+)
+def test_level_crossing_raises(evaluate):
     with pytest.raises(EigenGapTooSmallError):
         build_frames(HamiltonianSpec(dim=2, evaluate=evaluate), TimeGrid(0.0, 1.0, 16))
 
