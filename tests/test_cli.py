@@ -79,6 +79,7 @@ def test_validate_rejects_unknown_keys():
         ("criteria", {"energy_offset": "1"}, "energy_offset must be a number"),
         ("criteria", {"output": 3}, "output must be a path string"),
     ],
+    ids=["command", "sweep-model", "ratio-min", "ratio-max", "sweep-block", "offset", "output"],
 )
 def test_validate_message(command, overrides, message):
     assert validate(rotating_config(**overrides), command=command) == [message]
@@ -126,20 +127,21 @@ def test_validate_steps_maximum_before_allocation():
         assert validate(config, command="criteria") == ["steps must be an integer in [16, 2**20]"]
 
 
-@pytest.mark.parametrize("unit", [1.0, 1e-15])
-def test_criteria_command_verdicts(tmp_path, capsys, unit):
-    # The same physics in an energy unit 1e15 times larger: mu_B and omega shrink, t grows.
-    config = rotating_config()
-    config["model"].update(mu_B=unit, omega=1e-3 * unit)
-    config["grid"]["t_end"] = 2 * np.pi / (1e-3 * unit)
-    path = write_config(tmp_path, config)
-    assert main(["criteria", "--config", path]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdicts"] == {"naive": True, "gap": True, "level": True}
-    assert payload["r_naive"] == pytest.approx(np.sin(np.pi / 3) / 2 * 1e-3 / 2, rel=1e-9)
-    assert set(payload["witnesses"]) == {
-        "numerator", "naive_denominator", "gap_denominator", "level_denominator",
-    }
+def test_criteria_command_verdicts(tmp_path, capsys):
+    # Unit 1e-15 is the same physics in an energy unit 1e15 times larger: mu_B and
+    # omega shrink, t grows, and the ratios and verdicts stay.
+    for unit in (1.0, 1e-15):
+        config = rotating_config()
+        config["model"].update(mu_B=unit, omega=1e-3 * unit)
+        config["grid"]["t_end"] = 2 * np.pi / (1e-3 * unit)
+        path = write_config(tmp_path, config)
+        assert main(["criteria", "--config", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdicts"] == {"naive": True, "gap": True, "level": True}
+        assert payload["r_naive"] == pytest.approx(np.sin(np.pi / 3) / 2 * 1e-3 / 2, rel=1e-9)
+        assert set(payload["witnesses"]) == {
+            "numerator", "naive_denominator", "gap_denominator", "level_denominator",
+        }
 
 
 def test_sweep_command_monotone_csv(tmp_path):

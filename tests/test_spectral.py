@@ -83,18 +83,19 @@ def test_every_accepted_grid_has_strictly_increasing_times(t_start, span_ulps, s
     assert np.all(np.diff(grid.times) > 0)
 
 
-@pytest.mark.parametrize("part", [0, 2], ids=["energies", "derivatives"])
-def test_non_finite_analytic_frame_raises(part):
+def test_non_finite_analytic_frame_raises():
     spec = rotating_model(RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5))
-
-    def frame(times):
-        arrays = spec.analytic_frame(times)
-        arrays[part][3, 0] = np.nan
-        return arrays
-
     grid = TimeGrid(0.0, 1.0, 16)
-    with pytest.raises(AdiabaticaError, match="non-finite"):
-        build_frames(HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame), grid)
+    for part in (0, 2):  # energies, then eigenvector derivatives
+
+        def frame(times):
+            arrays = spec.analytic_frame(times)
+            arrays[part][3, 0] = np.nan
+            return arrays
+
+        bad = HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame)
+        with pytest.raises(AdiabaticaError, match="non-finite"):
+            build_frames(bad, grid)
 
 
 def test_non_orthonormal_analytic_frame_raises_a_numerical_error():
@@ -262,18 +263,14 @@ def test_gauge_covariance_quadratic_phase(rng):
             assert max_abs(At[1:-1, a, b] - phase * A[1:-1, a, b]) < tol
 
 
-@pytest.mark.parametrize(
-    "evaluate",
-    [
+def test_level_crossing_raises():
+    for evaluate in (
         lambda t: np.diag([t - 0.5, 0.5 - t]).astype(complex),
         lambda t: np.zeros((2, 2), dtype=complex),  # gap 0 at a floor of 1e-10 * 0
         lambda t: 3 * np.eye(2, dtype=complex),
-    ],
-    ids=["crossing", "zero", "degenerate"],
-)
-def test_level_crossing_raises(evaluate):
-    with pytest.raises(EigenGapTooSmallError):
-        build_frames(HamiltonianSpec(dim=2, evaluate=evaluate), TimeGrid(0.0, 1.0, 16))
+    ):
+        with pytest.raises(EigenGapTooSmallError):
+            build_frames(HamiltonianSpec(dim=2, evaluate=evaluate), TimeGrid(0.0, 1.0, 16))
 
 
 def test_non_hermitian_spec_raises():
