@@ -324,13 +324,12 @@ def run_criteria(config: dict):
 def run_holonomy(config: dict):
     _, spec, _, frames, conn = _frames_pipeline(config)
     header = ["level", "dynamical", "geometric", "holonomy_re", "holonomy_im", "gauge"]
+    gauge = "continuity" if frames.vector_derivatives is None else "model_analytic"
     rows = []
     for n in range(spec.dim):
         split = phase_split(frames, conn, n)
         h = holonomy(frames, conn, n)
-        rows.append(
-            [n, split.dynamical, split.geometric, h.value.real, h.value.imag, frames.gauge.value]
-        )
+        rows.append([n, split.dynamical, split.geometric, h.value.real, h.value.imag, gauge])
     return {"command": "holonomy", "levels": [dict(zip(header, row)) for row in rows]}, header, rows
 
 
@@ -378,7 +377,8 @@ def run_sweep(config: dict):
     mu_B, theta = float(model["mu_B"]), float(model["theta"])
     sweep = {**SWEEP_DEFAULTS, **config.get("sweep", {})}
     lo, hi = float(sweep["ratio_min"]), float(sweep["ratio_max"])
-    ratios = np.logspace(math.log10(lo), math.log10(hi), sweep["points"])
+    # logspace can overshoot hi by an ulp, past the ratio that validate() checked
+    ratios = np.clip(np.logspace(math.log10(lo), math.log10(hi), sweep["points"]), lo, hi)
 
     header = [
         "ratio", "omega", "alpha",

@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AdiabaticaError, GridMismatchError
+from .errors import AdiabaticaError
 from .numerics import max_abs
-from .spectral import ConnectionMatrix, FrameTrajectory, TimeGrid
+from .spectral import ConnectionMatrix, FrameTrajectory, _require_grid
 
 __all__ = ["CriteriaReport", "EffectiveHamiltonian", "build_effective", "criteria"]
 
@@ -45,20 +45,18 @@ def geometric_phase(conn: ConnectionMatrix, level: int) -> np.ndarray:
 class EffectiveHamiltonian:
     """M(t) sampled per grid time, plus the frames and connection it came from."""
 
-    grid: TimeGrid
     values: np.ndarray
     frames: FrameTrajectory
     connection: ConnectionMatrix
 
 
 def build_effective(frames: FrameTrajectory, conn: ConnectionMatrix) -> EffectiveHamiltonian:
-    """Assemble M_nm(t) = E_n delta_nm - A_nm at every grid point."""
-    if frames.grid != conn.grid:
-        raise GridMismatchError("frames and connection use different grids")
+    """M_nm(t) = E_n delta_nm - A_nm at every grid point; GridMismatchError across grids."""
+    _require_grid(frames, conn.grid)
     values = -conn.values  # a new array
     idx = np.arange(frames.dim)
     values[:, idx, idx] += frames.energies
-    return EffectiveHamiltonian(frames.grid, values, frames, conn)
+    return EffectiveHamiltonian(values, frames, conn)
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ def criteria(
     n = eff.frames.dim
     if n < 2:
         raise ValueError("criteria needs at least two levels")
-    times = eff.grid.times
+    times = eff.frames.grid.times
     E = eff.frames.energies
     diag = np.einsum("kii->ki", eff.values)
     idx = np.arange(n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .spectral import (
     FrameTrajectory,
     HamiltonianSpec,
     TimeGrid,
+    _require_grid,
     build_frames,
     connection,
 )
@@ -64,6 +65,7 @@ class Holonomy:
 
 
 def phase_split(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> PhaseSplit:
+    _require_grid(frames, conn.grid)
     dyn = accumulate_trapezoid(frames.energies[:, level], frames.grid.dt)[-1]
     geo = geometric_phase(conn, level)[-1]
     return PhaseSplit(level=level, dynamical=float(dyn), geometric=float(geo))
@@ -75,6 +77,7 @@ def holonomy(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> Hol
     Warns (NonCyclicWarning) when the reconstructed endpoint Hamiltonians
     disagree, i.e. the trajectory does not close a cycle.
     """
+    _require_grid(frames, conn.grid)
     ends = []
     for k in (0, -1):
         V = frames.vectors[k]
@@ -101,11 +104,12 @@ def _transform_frames(
         derivs = (
             frames.vector_derivatives + 1j * alpha_dots[:, None, :] * frames.vectors
         ) * factors
-    return FrameTrajectory(frames.grid, frames.energies, vectors, frames.gauge, derivs)
+    return FrameTrajectory(frames.grid, frames.energies, vectors, derivs)
 
 
 def parallel_transport(frames: FrameTrajectory, conn: ConnectionMatrix) -> FrameTrajectory:
     """Rephase each level by exp{i int_0^t A_nn dt'} so <v~_n | d/dt v~_n> vanishes."""
+    _require_grid(frames, conn.grid)
     phases = np.stack([geometric_phase(conn, n) for n in range(frames.dim)], axis=1)
     return _transform_frames(frames, phases, np.einsum("knn->kn", conn.values).real)
 
@@ -183,7 +187,7 @@ class ChainProbeReport:
     times: np.ndarray
     chain: np.ndarray
     residual: np.ndarray
-    phase_convention: str = "comparison state carries exp(+i int E_n dt) on v_n(0)"
+    phase_convention: ClassVar[str] = "comparison state carries exp(+i int E_n dt) on v_n(0)"
 
 
 def ms_inconsistency_probe(

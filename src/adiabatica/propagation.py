@@ -25,7 +25,7 @@ import numpy as np
 
 from .effective import EffectiveHamiltonian
 from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
-from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, build_frames
+from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, _require_grid, build_frames
 
 __all__ = [
     "PropagationResult",
@@ -76,17 +76,14 @@ def _midpoint_propagators(mids: np.ndarray, dt: float) -> np.ndarray:
     return propagators
 
 
-def _effective_mids(eff: EffectiveHamiltonian) -> np.ndarray:
+def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
+    """Accumulated coefficient-space propagators under M(t), shape (steps+1, N, N)."""
     # Midpoint generator from adjacent grid samples, symmetrized because the
     # discrete connection carries O(dt^2) Hermiticity noise; 0.5 (M + M^dagger)
     # is exactly Hermitian in floating point, so the step kernel needs no check.
     mids = 0.5 * (eff.values[:-1] + eff.values[1:])
-    return 0.5 * (mids + dagger(mids))
-
-
-def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
-    """Accumulated coefficient-space propagators under M(t), shape (steps+1, N, N)."""
-    return _midpoint_propagators(_effective_mids(eff), eff.grid.dt)
+    mids = 0.5 * (mids + dagger(mids))  # rebinding frees the unsymmetrized stack
+    return _midpoint_propagators(mids, eff.frames.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class PropagationResult:
     both have shape (steps+1, N) with coefficients c_m(t_k) = <v_m(t_k)|psi(t_k)>.
     """
 
-    grid: TimeGrid
     propagators: np.ndarray
     states: list[np.ndarray]
     coefficients: list[np.ndarray]
@@ -122,12 +118,14 @@ def propagate(
     """Propagate the time-ordered exponential of spec over the grid.
 
     initial_states entries are either level indices (the state starts in that
-    instantaneous eigenvector at t_start) or explicit state vectors. Global
-    error is O(dt^2); every propagator is unitary to rounding, checked as in
-    stepping_propagators.
+    instantaneous eigenvector at t_start) or explicit state vectors, whose norm
+    must be 1 within 1e-12 (ValueError otherwise). Global error is O(dt^2); every
+    propagator is unitary to rounding, checked as in stepping_propagators. Raises
+    GridMismatchError when the given frames are on another grid.
     """
     if frames is None:
         frames = build_frames(spec, grid)
+    _require_grid(frames, grid)
     propagators = stepping_propagators(spec, grid)
 
     columns = []
@@ -137,7 +135,7 @@ def propagate(
         else:
             psi0 = np.asarray(init, dtype=complex)
             norm = np.linalg.norm(psi0)
-            if not np.isclose(norm, 1.0, atol=1e-12):
+            if not abs(norm - 1.0) <= 1e-12:
                 raise ValueError(f"initial state norm {norm} is not 1")
         columns.append(psi0)
     # Column s of traj[k] is U[k] psi0_s; of coeffs[k], its overlaps <v_m(t_k)|.>.
@@ -146,7 +144,7 @@ def propagate(
     coeffs = matmul(dagger(frames.vectors), traj)
     states = [traj[:, :, s] for s in range(len(columns))]
     coefficients = [coeffs[:, :, s] for s in range(len(columns))]
-    return PropagationResult(grid, propagators, states, coefficients, frames)
+    return PropagationResult(propagators, states, coefficients, frames)
 
 
 def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
@@ -171,7 +169,7 @@ def _two_time(stack: np.ndarray, grid: TimeGrid) -> Callable[[float, float], np.
 
 def coefficient_evolution(eff: EffectiveHamiltonian) -> Callable[[float, float], np.ndarray]:
     """Two-time coefficient-space evolution generated by M(t), for grid sample times."""
-    return _two_time(_coefficient_propagators(eff), eff.grid)
+    return _two_time(_coefficient_propagators(eff), eff.frames.grid)
 
 
 def composition_check(
@@ -193,4 +191,4 @@ def composition_check(
 
 def stepping_evolution(result: PropagationResult) -> Callable[[float, float], np.ndarray]:
     """Two-time evolution U(t2, t1) = U[k2] U[k1]^dagger of a stepping run, at grid samples."""
-    return _two_time(result.propagators, result.grid)
+    return _two_time(result.propagators, result.frames.grid)

@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AdiabaticaError, EigenGapTooSmallError
+from .errors import AdiabaticaError, EigenGapTooSmallError, GridMismatchError
 from .numerics import dagger, matmul, max_abs, require_hermitian_batch, require_unitary
 
 __all__ = [
     "ConnectionMatrix",
     "FrameTrajectory",
-    "Gauge",
     "HamiltonianSpec",
     "TimeGrid",
     "build_frames",
@@ -123,28 +121,28 @@ class HamiltonianSpec:
         return hams
 
 
-class Gauge(Enum):
-    CONTINUITY = "continuity"
-    MODEL_ANALYTIC = "model_analytic"
-
-
 @dataclass(frozen=True)
 class FrameTrajectory:
     """Gauge-fixed instantaneous eigenframes sampled on a time grid.
 
-    vectors[k, :, n] is level n at grid time k; for MODEL_ANALYTIC frames
-    vector_derivatives holds the matching d/dt columns.
+    vectors[k, :, n] is level n at grid time k; vector_derivatives holds the matching
+    d/dt columns when a model's analytic frame supplied them, and is None otherwise.
     """
 
     grid: TimeGrid
     energies: np.ndarray
     vectors: np.ndarray
-    gauge: Gauge
     vector_derivatives: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
         return self.energies.shape[1]
+
+
+def _require_grid(frames: FrameTrajectory, grid: TimeGrid) -> None:
+    """GridMismatchError unless the frames were built on grid."""
+    if frames.grid != grid:
+        raise GridMismatchError(f"frames on {frames.grid} used with {grid}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
             raise AdiabaticaError("analytic frame has non-finite energies, vectors or derivatives")
         require_unitary(vectors, ORTHONORMALITY_TOL, "analytic frames not orthonormal")
         _check_gaps(energies)
-        return FrameTrajectory(grid, energies, vectors, Gauge.MODEL_ANALYTIC, derivs)
+        return FrameTrajectory(grid, energies, vectors, derivs)
 
     energies, vectors = np.linalg.eigh(spec.sample(times))
     _check_gaps(energies)
@@ -210,14 +208,14 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
         )
     vectors[1:] *= np.exp(-1j * np.cumsum(np.angle(overlaps), axis=0))[:, None, :]
 
-    return FrameTrajectory(grid, energies, vectors, Gauge.CONTINUITY)
+    return FrameTrajectory(grid, energies, vectors)
 
 
 def connection(frames: FrameTrajectory) -> ConnectionMatrix:
     """Geometric connection A_nm(t) = <v_n(t) | i d/dt v_m(t)> on the frame grid.
 
-    d/dt v is the frames' vector_derivatives when they carry them, whatever their
-    gauge label, and second-order finite differences of the vectors otherwise.
+    d/dt v is the frames' vector_derivatives when they carry them, and second-order
+    finite differences of the vectors otherwise.
     """
     if frames.grid.steps < 2:
         raise ValueError("connection needs at least 2 grid steps")

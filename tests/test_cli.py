@@ -626,6 +626,15 @@ def configs(command):
         },
     )
 )
+@example(  # logspace overshoots ratio_max by an ulp, and mu_B * 9.777052685893052 overflows
+    (
+        "sweep",
+        {
+            "model": {"model": "rotating", "mu_B": 1.8386861486960593e307, "theta": 1.0},
+            "sweep": {"ratio_min": 0.977705268589305, "ratio_max": 9.77705268589305, "points": 61},
+        },
+    )
+)
 def test_cli_fuzz_exits_cleanly(command_config):
     """Any config, any command: exit 0, 2 or 3, no traceback, every stderr line the CLI's own."""
     command, config = command_config

@@ -13,7 +13,11 @@ from adiabatica import (
     build_frames,
     connection,
     criteria,
+    holonomy,
     max_abs,
+    parallel_transport,
+    phase_split,
+    propagate,
     rotating_model,
 )
 from adiabatica.effective import accumulate_trapezoid
@@ -119,6 +123,32 @@ def test_grid_mismatch_raises():
     frames_b = build_frames(spec, TimeGrid(0.0, params.period, 128))
     with pytest.raises(GridMismatchError):
         build_effective(frames_a, connection(frames_b))
+
+
+# Each entry given frames on `grid` and something built on the frames `other` of another grid.
+MISMATCHED = {
+    "build_effective": lambda spec, grid, frames, other: build_effective(frames, connection(other)),
+    "phase_split": lambda spec, grid, frames, other: phase_split(frames, connection(other), 0),
+    "holonomy": lambda spec, grid, frames, other: holonomy(frames, connection(other), 0),
+    "parallel_transport": lambda spec, grid, frames, other: parallel_transport(
+        frames, connection(other)
+    ),
+    "propagate": lambda spec, grid, frames, other: propagate(spec, grid, [0], frames=other),
+}
+
+
+@pytest.mark.parametrize("entry", MISMATCHED)
+@pytest.mark.parametrize("other", [(2.0, 64), (1.0, 128)], ids=["longer", "finer"])
+def test_every_entry_rejects_inputs_on_another_grid(entry, other):
+    # Mixed grids of equal K give plausible numbers: with the connection from [0, 2T],
+    # phase_split would report twice the geometric phase of [0, T].
+    params = RotatingModelParams(mu_B=1.0, theta=1.0, omega=0.5)
+    spec = rotating_model(params)
+    grid = TimeGrid(0.0, params.period, 64)
+    frames = build_frames(spec, grid)
+    other_frames = build_frames(spec, TimeGrid(0.0, other[0] * params.period, other[1]))
+    with pytest.raises(GridMismatchError):
+        MISMATCHED[entry](spec, grid, frames, other_frames)
 
 
 def test_degenerate_denominator_reports_infinite_ratio():

@@ -29,8 +29,8 @@ from adiabatica import (
 )
 from adiabatica import numerics, propagation
 from adiabatica.models import SIGMA_X, SIGMA_Z
-from adiabatica.numerics import exp_antihermitian_batch
-from adiabatica.propagation import _accumulate, _effective_mids
+from adiabatica.numerics import dagger, exp_antihermitian_batch
+from adiabatica.propagation import _accumulate
 from adiabatica.spectral import HamiltonianSpec
 
 from conftest import random_hermitian, random_smooth_spec
@@ -253,8 +253,10 @@ def test_stepping_evolution_rejects_off_grid_times():
 def test_propagate_rejects_unnormalized_initial_state():
     params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5)
     grid = TimeGrid(0.0, params.period, 64)
-    with pytest.raises(ValueError):
-        propagate(rotating_model(params), grid, [np.array([1.0, 1.0])])
+    # norm 1 + 5e-6 is within a relative 1e-5 of 1, but the bound is an absolute 1e-12
+    for psi0 in ([1.0, 1.0], [1.0 + 5e-6, 0.0]):
+        with pytest.raises(ValueError, match="is not 1"):
+            propagate(rotating_model(params), grid, [np.array(psi0)])
 
 
 def sequential_accumulate(steps):
@@ -307,7 +309,8 @@ def test_coefficient_propagate_matches_vector_loop(rng):
     grid = TimeGrid(0.0, 2.0, 200)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
-    steps = exp_antihermitian_batch(_effective_mids(eff), grid.dt)
+    mids = 0.5 * (eff.values[:-1] + eff.values[1:])
+    steps = exp_antihermitian_batch(0.5 * (mids + dagger(mids)), grid.dt)
     for level in range(4):
         # The vector loop coefficient_propagate used to run, kept as the reference.
         ref = np.empty((grid.steps + 1, 4), dtype=complex)

@@ -9,7 +9,6 @@ from adiabatica import (
     AdiabaticaError,
     EigenGapTooSmallError,
     FrameTrajectory,
-    Gauge,
     HamiltonianSpec,
     MSSecondModelParams,
     NotHermitianError,
@@ -26,6 +25,7 @@ from adiabatica import (
     stepping_propagators,
 )
 from adiabatica.models import SIGMA_X, SIGMA_Z
+from adiabatica.numerics import dagger, matmul
 
 from conftest import random_smooth_spec
 
@@ -114,7 +114,7 @@ def test_non_orthonormal_analytic_frame_raises_a_numerical_error():
 def test_static_frames_constant():
     grid = TimeGrid(0.0, 5.0, 32)
     frames = build_frames(static_spec(SIGMA_Z), grid)
-    assert frames.gauge is Gauge.CONTINUITY
+    assert frames.vector_derivatives is None
     assert np.allclose(frames.energies, np.tile([-1.0, 1.0], (33, 1)))
     assert max_abs(frames.vectors - frames.vectors[0]) < 1e-12
 
@@ -128,7 +128,7 @@ def test_static_connection_vanishes():
 def test_rotating_analytic_frames_match_closed_form():
     params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.1)
     frames = build_frames(rotating_model(params), TimeGrid(0.0, params.period, 64))
-    assert frames.gauge is Gauge.MODEL_ANALYTIC
+    assert frames.vector_derivatives is not None
     for k, t in enumerate(frames.grid.times[:: 16]):
         e = np.exp(-1j * params.omega * t)
         ch, sh = np.cos(params.theta / 2), np.sin(params.theta / 2)
@@ -146,7 +146,7 @@ def test_continuity_gauge_is_rephased_analytic_gauge():
     grid = TimeGrid(0.0, params.period, 512)
     analytic = build_frames(spec, grid)
     numeric = build_frames(HamiltonianSpec(dim=2, evaluate=spec.evaluate), grid)
-    assert numeric.gauge is Gauge.CONTINUITY
+    assert numeric.vector_derivatives is None
     A = connection(analytic).values
     from adiabatica.effective import accumulate_trapezoid
 
@@ -182,19 +182,18 @@ def test_rotating_connection_equator_values():
 
 def finite_difference_connection(frames):
     """Same-gauge dual route: differentiate the stored vectors numerically."""
-    fd_frames = FrameTrajectory(
-        frames.grid, frames.energies, frames.vectors, Gauge.CONTINUITY
-    )
+    fd_frames = FrameTrajectory(frames.grid, frames.energies, frames.vectors)
     return connection(fd_frames).values
 
 
 def test_connection_branches_on_the_derivatives_it_reads():
-    # A MODEL_ANALYTIC label without derivatives takes finite differences, as any label does.
+    # Analytic frames stripped of their derivatives take second-order finite differences.
     params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5)
     frames = build_frames(rotating_model(params), TimeGrid(0.0, params.period, 1024))
-    bare = FrameTrajectory(frames.grid, frames.energies, frames.vectors, Gauge.MODEL_ANALYTIC)
+    bare = FrameTrajectory(frames.grid, frames.energies, frames.vectors)
     values = connection(bare).values
-    assert np.array_equal(values, finite_difference_connection(frames))
+    dv = np.gradient(frames.vectors, frames.grid.dt, axis=0, edge_order=2)
+    assert np.array_equal(values, 1j * matmul(dagger(frames.vectors), dv))
     assert max_abs(values - connection(frames).values) < 1e-5
 
 
@@ -248,7 +247,7 @@ def test_gauge_covariance_quadratic_phase(rng):
     transformed = frames.vectors * np.exp(1j * alphas)[:, None, :]
     from adiabatica.spectral import FrameTrajectory
 
-    tframes = FrameTrajectory(grid, frames.energies, transformed, frames.gauge)
+    tframes = FrameTrajectory(grid, frames.energies, transformed)
     At = connection(tframes).values
 
     # diagonal shifts by -d alpha/dt; off-diagonals pick up e^{i(alpha_m - alpha_n)}
