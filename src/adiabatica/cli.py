@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from functools import partial
 from itertools import combinations
 from typing import Optional
@@ -57,11 +58,7 @@ def _fmt(x: float) -> str:
 
 
 def _json_float(x: float) -> str:
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if math.isnan(x):
-        return "NaN"
-    return _fmt(x)
+    return _fmt(x) if math.isfinite(x) else json.dumps(x)  # Infinity, -Infinity, NaN
 
 
 def _float_block(
@@ -82,7 +79,9 @@ def _float_block(
 def _to_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with insertion-order keys and 17-significant-digit floats.
 
-    1-D and 2-D float arrays render as nested lists through _float_block.
+    1-D and 2-D float arrays render as nested lists through _float_block; json.dumps
+    writes every other scalar and the empty containers, and raises TypeError on
+    what it cannot write.
     """
     pad = "  " * indent
     if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
@@ -95,27 +94,17 @@ def _to_json(obj, indent: int = 0) -> str:
                 obj, inner + "[" + row_sep[1:], row_sep, "\n" + inner + "],\n", json_floats=True
             )
         return "[\n" + text[:-2] + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj:
         items = ",\n".join(
             f'{pad}  {json.dumps(str(k))}: {_to_json(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple)) and obj:
         items = ",\n".join(f"{pad}  {_to_json(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _json_float(float(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+    return json.dumps(obj)
 
 
 def _to_csv(header: list[str], rows) -> str:
@@ -256,24 +245,20 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     return out
 
 
-def _build_grid(config: dict) -> TimeGrid:
-    g = config["grid"]
-    return TimeGrid(t_start=float(g["t_start"]), t_end=float(g["t_end"]), steps=int(g["steps"]))
-
-
-def _build_spec(config: dict, grid: Optional[TimeGrid]):
-    model = config["model"]
+def _build(config: dict):
+    """(grid, spec, params) of a validated config."""
+    g, model = config["grid"], config["model"]
+    grid = TimeGrid(t_start=float(g["t_start"]), t_end=float(g["t_end"]), steps=int(g["steps"]))
     if model["model"] == "ms_second":
         params = MSSecondModelParams(float(model["omega0"]), float(model["tau"]), model.get("n"))
-        return ms_second_model(params), params
+        return grid, ms_second_model(params), params
     params = RotatingModelParams(float(model["mu_B"]), float(model["theta"]), float(model["omega"]))
     spec = rotating_model(params)
-    return (barred_model(spec, grid) if model["model"] == "barred_rotating" else spec), params
+    return grid, (barred_model(spec, grid) if model["model"] == "barred_rotating" else spec), params
 
 
 def _frames_pipeline(config: dict):
-    grid = _build_grid(config)
-    spec, params = _build_spec(config, grid)
+    grid, spec, params = _build(config)
     frames = build_frames(spec, grid)
     conn = connection(frames)
     return grid, spec, params, frames, conn
@@ -314,7 +299,7 @@ def run_criteria(config: dict):
         epsilon=float(config.get("epsilon", 0.1)),
         energy_offset=float(config.get("energy_offset", 0.0)),
     )
-    payload = report.to_dict()
+    payload = asdict(report)
     header = ["r_naive", "r_gap", "r_level", "epsilon", "energy_offset"]
     row = [payload[key] for key in header] + list(payload["verdicts"].values())
     header += [f"verdict_{key}" for key in payload["verdicts"]]
@@ -334,8 +319,7 @@ def run_holonomy(config: dict):
 
 
 def run_ms_probe(config: dict):
-    grid = _build_grid(config)
-    spec, _ = _build_spec(config, grid)
+    grid, spec, _ = _build(config)
     report = ms_inconsistency_probe(spec, grid, level=0)
     chain = report.chain
     columns = {

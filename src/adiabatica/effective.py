@@ -7,7 +7,7 @@ diagonal dominance is quantified by three worst-case-over-time ratios.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +43,10 @@ def geometric_phase(conn: ConnectionMatrix, level: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """M(t) sampled per grid time, plus the frames and connection it came from."""
+    """M(t) sampled per grid time, plus the frames it came from; off the diagonal M = -A."""
 
     values: np.ndarray
     frames: FrameTrajectory
-    connection: ConnectionMatrix
 
 
 def build_effective(frames: FrameTrajectory, conn: ConnectionMatrix) -> EffectiveHamiltonian:
@@ -56,7 +55,7 @@ def build_effective(frames: FrameTrajectory, conn: ConnectionMatrix) -> Effectiv
     values = -conn.values  # a new array
     idx = np.arange(frames.dim)
     values[:, idx, idx] += frames.energies
-    return EffectiveHamiltonian(values, frames, conn)
+    return EffectiveHamiltonian(values, frames)
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,6 @@ class CriteriaReport:
     witnesses: dict
     energy_offset: float
 
-    def to_dict(self) -> dict:
-        """The fields as a (deep-copied) dict, in the declared order: the JSON report's."""
-        return asdict(self)
-
 
 def _witness(values: np.ndarray, pick, times: np.ndarray) -> tuple[float, dict]:
     """values.flat[pick(values)] and the first (k, levels), in row-major order, within
@@ -102,7 +97,7 @@ def criteria(
     """Evaluate the naive and precise adiabaticity criteria for M(t).
 
     The numerator is max over grid times and level pairs n' != m' of
-    |A_n'm'(t)|; each denominator is minimized over grid times and levels.
+    |M_n'm'(t)| = |A_n'm'(t)|; each denominator is minimized over grid times and levels.
     energy_offset shifts only the r_level denominator, honoring the free
     choice of energy origin. Each witness is the first (time, levels) within a
     relative WITNESS_RTOL of its extreme.
@@ -116,7 +111,7 @@ def criteria(
     idx = np.arange(n)
 
     # (K, N, N) arrays over level pairs (i, j), the diagonal i = j masked off
-    offdiag = np.abs(eff.connection.values)
+    offdiag = np.abs(eff.values)
     offdiag[:, idx, idx] = -np.inf
     naive = np.abs(E[:, :, None] - E[:, None, :])
     gap = np.abs(diag[:, :, None] - diag[:, None, :])

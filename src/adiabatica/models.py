@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import dagger, matmul
 from .propagation import stepping_propagators
-from .spectral import HamiltonianSpec, TimeGrid
+from .spectral import HamiltonianSpec, TimeGrid, _require_level
 
 __all__ = [
     "MSSecondModelParams",
@@ -39,14 +39,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def _dot_sigma(r) -> np.ndarray:
     """r[0] sigma_x + r[1] sigma_y + r[2] sigma_z; array components give a stack.
 
-    Scalar components fill one 2x2 with the same entry values, a few times
-    cheaper than the three broadcast matrix products for the per-time calls of
-    unbatched sampling.
+    Scalar components fill one 2x2 directly, a few times cheaper than _matrix2
+    for the per-time calls of unbatched sampling.
     """
     x, y, z = r
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(z, np.ndarray):
-        x, y, z = (c[..., None, None] if isinstance(c, np.ndarray) else c for c in r)
-        return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+        return _matrix2(z, x - 1j * y, x + 1j * y, -z)
     out = np.empty((2, 2), dtype=complex)
     out[0, 0], out[0, 1], out[1, 0], out[1, 1] = z, complex(x, -y), complex(x, y), -z
     return out
@@ -126,6 +124,7 @@ def rotating_exact_solution(params: RotatingModelParams, level: int, t: float) -
     The state is the frame vector at the constant mixing angle alpha =
     mixing_angle(params) times a constant-rate phase; exact for all drive speeds.
     """
+    _require_level(level, 2)
     muB, omega, alpha = params.mu_B, params.omega, mixing_angle(params)
     half, c, cos_alpha = (params.theta - alpha) / 2, math.cos(params.theta - alpha), math.cos(alpha)
     e = np.exp(-1j * omega * t)
@@ -142,6 +141,7 @@ def rotating_geometric_phase(params: RotatingModelParams, level: int = 0) -> flo
     Equals pi * (1 +/- cos(theta - alpha)): the Berry value pi (1 +/- cos theta)
     in the slow-drive limit and 0 mod 2*pi in the fast-drive limit.
     """
+    _require_level(level, 2)
     c = math.cos(params.theta - mixing_angle(params))
     sign = 1.0 if level == 0 else -1.0
     return math.pi * (1 + sign * c)
@@ -149,6 +149,7 @@ def rotating_geometric_phase(params: RotatingModelParams, level: int = 0) -> flo
 
 def rotating_dynamical_phase(params: RotatingModelParams, level: int = 0) -> float:
     """Dynamical part of the exact phase accumulated over one drive period."""
+    _require_level(level, 2)
     sign = 1.0 if level == 0 else -1.0
     return -sign * params.mu_B * math.cos(mixing_angle(params)) * params.period
 

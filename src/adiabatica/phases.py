@@ -24,6 +24,7 @@ from .spectral import (
     HamiltonianSpec,
     TimeGrid,
     _require_grid,
+    _require_level,
     build_frames,
     connection,
 )
@@ -66,6 +67,7 @@ class Holonomy:
 
 def phase_split(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> PhaseSplit:
     _require_grid(frames, conn.grid)
+    _require_level(level, frames.dim)
     dyn = accumulate_trapezoid(frames.energies[:, level], frames.grid.dt)[-1]
     geo = geometric_phase(conn, level)[-1]
     return PhaseSplit(level=level, dynamical=float(dyn), geometric=float(geo))
@@ -78,6 +80,7 @@ def holonomy(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> Hol
     disagree, i.e. the trajectory does not close a cycle.
     """
     _require_grid(frames, conn.grid)
+    _require_level(level, frames.dim)
     ends = []
     for k in (0, -1):
         V = frames.vectors[k]
@@ -199,6 +202,7 @@ def ms_inconsistency_probe(
     R(t) = ||v_n(0) - v_n(t) e^{i int A_nn}|| grows, which is what defeats
     the borrowed identification of the reversed dynamics with a pure phase.
     """
+    _require_level(level, spec.dim)
     frames = build_frames(spec, grid)
     conn = connection(frames)
     result = propagate(spec, grid, [level], frames=frames)

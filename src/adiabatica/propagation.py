@@ -25,7 +25,14 @@ import numpy as np
 
 from .effective import EffectiveHamiltonian
 from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
-from .spectral import FrameTrajectory, HamiltonianSpec, TimeGrid, _require_grid, build_frames
+from .spectral import (
+    FrameTrajectory,
+    HamiltonianSpec,
+    TimeGrid,
+    _require_grid,
+    _require_level,
+    build_frames,
+)
 
 __all__ = [
     "PropagationResult",
@@ -117,27 +124,31 @@ def propagate(
 ) -> PropagationResult:
     """Propagate the time-ordered exponential of spec over the grid.
 
-    initial_states entries are either level indices (the state starts in that
-    instantaneous eigenvector at t_start) or explicit state vectors, whose norm
-    must be 1 within 1e-12 (ValueError otherwise). Global error is O(dt^2); every
-    propagator is unitary to rounding, checked as in stepping_propagators. Raises
-    GridMismatchError when the given frames are on another grid.
+    initial_states entries are either level indices in [0, N) (the state starts in
+    that instantaneous eigenvector at t_start) or explicit state vectors of shape
+    (N,) whose norm is 1 within 1e-12; anything else, a bool too, raises ValueError.
+    Global error is O(dt^2); every propagator is unitary to rounding, checked as in
+    stepping_propagators. Raises GridMismatchError when the given frames are on
+    another grid.
     """
     if frames is None:
         frames = build_frames(spec, grid)
     _require_grid(frames, grid)
-    propagators = stepping_propagators(spec, grid)
 
     columns = []
     for init in initial_states:
         if isinstance(init, (int, np.integer)):
+            _require_level(init, spec.dim)
             psi0 = frames.vectors[0, :, int(init)]
         else:
             psi0 = np.asarray(init, dtype=complex)
+            if psi0.shape != (spec.dim,):
+                raise ValueError(f"initial state shape {psi0.shape} is not ({spec.dim},)")
             norm = np.linalg.norm(psi0)
             if not abs(norm - 1.0) <= 1e-12:
                 raise ValueError(f"initial state norm {norm} is not 1")
         columns.append(psi0)
+    propagators = stepping_propagators(spec, grid)
     # Column s of traj[k] is U[k] psi0_s; of coeffs[k], its overlaps <v_m(t_k)|.>.
     psi0s = np.array(columns, dtype=complex).reshape(len(columns), spec.dim).T
     traj = matmul(propagators, psi0s)
@@ -152,8 +163,9 @@ def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
 
     Same midpoint-exponential scheme and unitarity check as propagate();
     returns c(t_k) with shape (steps+1, N) starting from the unit vector of
-    the given level.
+    the given level (ValueError outside [0, N)).
     """
+    _require_level(level, eff.frames.dim)
     # A copy, so the caller does not keep the whole (K+1, N, N) stack alive.
     return _coefficient_propagators(eff)[:, :, level].copy()
 

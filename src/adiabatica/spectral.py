@@ -145,6 +145,12 @@ def _require_grid(frames: FrameTrajectory, grid: TimeGrid) -> None:
         raise GridMismatchError(f"frames on {frames.grid} used with {grid}")
 
 
+def _require_level(level, dim: int) -> None:
+    """ValueError unless level is an integer, not a bool, in [0, dim)."""
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or not 0 <= level < dim:
+        raise ValueError(f"level must be an integer in [0, {dim}), not {level!r}")
+
+
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """Geometric connection A(t) sampled on the grid, shape (steps+1, N, N)."""

@@ -78,8 +78,16 @@ def test_validate_rejects_unknown_keys():
         ("criteria", {"sweep": {}}, "sweep block is only valid for the sweep command"),
         ("criteria", {"energy_offset": "1"}, "energy_offset must be a number"),
         ("criteria", {"output": 3}, "output must be a path string"),
+        (
+            "sweep",
+            {"command": "sweep", "sweep": {"points": 1}},
+            "points must be an integer in [2, 2**20]",
+        ),
     ],
-    ids=["command", "sweep-model", "ratio-min", "ratio-max", "sweep-block", "offset", "output"],
+    ids=[
+        "command", "sweep-model", "ratio-min", "ratio-max", "sweep-block", "offset", "output",
+        "points",
+    ],
 )
 def test_validate_message(command, overrides, message):
     assert validate(rotating_config(**overrides), command=command) == [message]

@@ -213,7 +213,7 @@ def test_report_serializes_to_json():
     frames = build_frames(rotating_model(params), grid)
     eff = build_effective(frames, connection(frames))
     report = criteria(eff)
-    payload = json.loads(json.dumps(report.to_dict()))
+    payload = json.loads(json.dumps(dataclasses.asdict(report)))
     assert set(payload) == {
         "r_naive", "r_gap", "r_level", "epsilon", "verdicts", "witnesses", "energy_offset",
     }

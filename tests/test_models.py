@@ -384,3 +384,8 @@ def test_scalar_dot_sigma_equals_the_broadcast_products():
         assert np.array_equal(_dot_sigma((x, y, z)), broadcast)
         assert np.array_equal(_dot_sigma(np.array([x, y, z])), broadcast)
         assert np.array_equal(_dot_sigma((float(x), float(y), float(z))), broadcast)
+    # components of shape (K,) take the stacked branch
+    x, y, z = rng.normal(size=(3, 8)) * 10.0 ** rng.integers(-5, 5, size=(3, 1))
+    broadcast = x[:, None, None] * SIGMA_X + y[:, None, None] * SIGMA_Y + z[:, None, None] * SIGMA_Z
+    assert np.array_equal(_dot_sigma((x, y, z)), broadcast)
+    assert np.array_equal(_dot_sigma(np.array([x, y, z])), broadcast)

@@ -10,6 +10,7 @@ from adiabatica import (
     TimeGrid,
     build_effective,
     build_frames,
+    coefficient_propagate,
     connection,
     criteria,
     gauge_transform_check,
@@ -18,6 +19,10 @@ from adiabatica import (
     ms_inconsistency_probe,
     parallel_transport,
     phase_split,
+    propagate,
+    rotating_dynamical_phase,
+    rotating_exact_solution,
+    rotating_geometric_phase,
     rotating_model,
 )
 from adiabatica.models import SIGMA_X, SIGMA_Z
@@ -165,6 +170,28 @@ def test_library_value_error_message(run, message):
     spec = HamiltonianSpec(dim=1, evaluate=lambda t: np.ones((1, 1)))
     with pytest.raises(ValueError, match=message):
         run(spec, TimeGrid(0.0, 1.0, 16))
+
+
+def level_entries() -> dict:
+    """The entries that take a level index, bound to the rotating model at K = 64."""
+    params, spec, grid, frames, conn = rotating_setup(omega=0.5, steps=64, theta=1.0)
+    return {
+        "holonomy": lambda n: holonomy(frames, conn, n),
+        "phase_split": lambda n: phase_split(frames, conn, n),
+        "coefficient_propagate": lambda n: coefficient_propagate(build_effective(frames, conn), n),
+        "propagate": lambda n: propagate(spec, grid, [n]),
+        "ms_inconsistency_probe": lambda n: ms_inconsistency_probe(spec, grid, level=n),
+        "rotating_geometric_phase": lambda n: rotating_geometric_phase(params, n),
+        "rotating_dynamical_phase": lambda n: rotating_dynamical_phase(params, n),
+        "rotating_exact_solution": lambda n: rotating_exact_solution(params, n, 1.0),
+    }
+
+
+@pytest.mark.parametrize("level", [-1, 2, True], ids=["minus-one", "N", "True"])
+@pytest.mark.parametrize("entry", sorted(level_entries()))
+def test_every_per_level_entry_rejects_a_level_outside_the_range(entry, level):
+    with pytest.raises(ValueError, match=rf"level must be an integer in \[0, 2\), not {level!r}"):
+        level_entries()[entry](level)
 
 
 def test_gauge_check_zero_phases_is_exact():

@@ -253,9 +253,14 @@ def test_stepping_evolution_rejects_off_grid_times():
 def test_propagate_rejects_unnormalized_initial_state():
     params = RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5)
     grid = TimeGrid(0.0, params.period, 64)
-    # norm 1 + 5e-6 is within a relative 1e-5 of 1, but the bound is an absolute 1e-12
-    for psi0 in ([1.0, 1.0], [1.0 + 5e-6, 0.0]):
-        with pytest.raises(ValueError, match="is not 1"):
+    # norm 1 + 5e-6 is within a relative 1e-5 of 1, but the bound is an absolute 1e-12;
+    # the scalar 1.0 has norm 1 but is no state of shape (2,)
+    for psi0, message in (
+        ([1.0, 1.0], "is not 1"),
+        ([1.0 + 5e-6, 0.0], "is not 1"),
+        (1.0, r"shape \(\) is not \(2,\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
             propagate(rotating_model(params), grid, [np.array(psi0)])
 
 

@@ -1,22 +1,29 @@
-"""Compare the CLI outputs of two source trees on the benchmark's CLI configs.
+"""Compare the CLI outputs and library results of two source trees.
 
 Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
 
 Each tree is a directory holding the adiabatica package (a checkout's src/).
-The configs are the cli_oneshot and cli_trajectory mixes of bench/workloads.py
-at seeds 81 and 82, each in CSV and in JSON: 48 runs of
-`python -m adiabatica.cli` per tree. Prints the runs whose exit code, stdout or
-stderr differ and their count; exits 1 when any differ.
+The CLI configs are the cli_oneshot and cli_trajectory mixes of
+bench/workloads.py at seeds 81 and 82, each in CSV and in JSON: 48 runs of
+`python -m adiabatica.cli` per tree. The library analyses are bench/run.py's
+`analyse` on workloads.lib_systems at the same seeds and default sizes: 6 per
+tree, run in one subprocess (`python3 tools/cli_diff.py --analyses` with the
+tree on PYTHONPATH), which prints a sha256 digest of every array they return.
+Prints the runs whose exit code, stdout or stderr differ, the analyses whose
+arrays differ, and both counts; exits 1 when any differ.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -25,14 +32,43 @@ SEEDS = (81, 82)
 FORMATS = ("csv", "json")
 
 
-def run(src: str, command: str, config: Path) -> tuple:
+def run(src: str, argv: list[str]) -> tuple:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    argv = [sys.executable, "-m", "adiabatica.cli", command, "--config", str(config)]
-    proc = subprocess.run(argv, env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def main(old_src: str, new_src: str) -> int:
+def analyses() -> dict:
+    """{analysis: {array: sha256}} for the lib_systems of every seed, from the imported tree."""
+    import adiabatica as ad
+    import run as bench_run  # bench/run.py
+
+    def digest(value) -> str:
+        a = np.ascontiguousarray(value)
+        return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+    out = {}
+    for seed in SEEDS:
+        for system in workloads.lib_systems(seed, ad):
+            analysis = bench_run.analyse(ad, system)
+            report, result = analysis.report, analysis.result
+            witnesses = report.witnesses.values()
+            arrays = {
+                "criteria ratios": [report.r_naive, report.r_gap, report.r_level],
+                "witness times": [w["time"] for w in witnesses],
+                "witness levels": [n for w in witnesses for n in w["levels"]],
+                "propagators": result.propagators,
+                "states": result.states,
+                "coefficients": result.coefficients,
+                "phase splits": [[s.dynamical, s.geometric] for s in analysis.splits],
+                "holonomies": [h.value for h in analysis.holonomies],
+                "coefficient route": analysis.coefficients,
+            }
+            out[f"seed {seed} {system.name}"] = {k: digest(v) for k, v in arrays.items()}
+    return out
+
+
+def cli_differences(old_src: str, new_src: str) -> int:
     differ = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
@@ -40,7 +76,8 @@ def main(old_src: str, new_src: str) -> int:
                 for fmt in FORMATS:
                     config = Path(tmp) / f"{seed}-{case.name}-{fmt}.json"
                     config.write_text(json.dumps({**case.config, "format": fmt}))
-                    old, new = (run(src, case.command, config) for src in (old_src, new_src))
+                    argv = ["-m", "adiabatica.cli", case.command, "--config", str(config)]
+                    old, new = (run(src, argv) for src in (old_src, new_src))
                     total += 1
                     if old != new:
                         differ += 1
@@ -48,10 +85,39 @@ def main(old_src: str, new_src: str) -> int:
                         parts = [k for k, a, b in zip(names, old, new) if a != b]
                         print(f"differs: seed {seed} {case.name} {fmt}: {', '.join(parts)}")
     print(f"{differ} of {total} CLI outputs differ in exit code, stdout or stderr")
+    return differ
+
+
+def analysis_differences(old_src: str, new_src: str) -> int:
+    digests = []
+    for src in (old_src, new_src):
+        code, stdout, stderr = run(src, [__file__, "--analyses"])
+        if code != 0:
+            print(f"analyses failed on {src}:\n{stderr.decode(errors='replace')}")
+        digests.append(json.loads(stdout) if code == 0 else {})
+    old, new = digests
+    labels = list(dict.fromkeys([*old, *new]))
+    differ = 0
+    for label in labels:
+        a, b = old.get(label, {}), new.get(label, {})
+        if a != b:
+            differ += 1
+            parts = [k for k in {**a, **b} if a.get(k) != b.get(k)]
+            print(f"differs: {label}: {', '.join(parts)}")
+    print(f"{differ} of {len(labels)} library analyses differ")
+    return differ
+
+
+def main(old_src: str, new_src: str) -> int:
+    differ = cli_differences(old_src, new_src)
+    differ += analysis_differences(old_src, new_src)
     return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    if sys.argv[1:] == ["--analyses"]:
+        print(json.dumps(analyses()))
+    elif len(sys.argv) != 3:
         sys.exit(__doc__)
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    else:
+        sys.exit(main(sys.argv[1], sys.argv[2]))
