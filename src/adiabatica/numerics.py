@@ -5,6 +5,10 @@ closed form at N = 2, and for every other N a truncated Taylor series by
 Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both are
 unitary to rounding, not by construction; propagation checks the accumulated
 drift. Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
+The Taylor step and the two stack checks stream each (K, N, N) stack through
+consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's working set
+stays in cache; every matrix gets the same arithmetic in the same order, so
+the results do not depend on the block size, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +24,18 @@ __all__ = ["max_abs"]
 HERMITICITY_RTOL = 1e-12
 TAYLOR_MAX_NORM = 1.0  # |s| ||H - tr(H)/N||_1 that scaling reaches before the Taylor series
 SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
+BLOCK_BYTES = 2**20  # stacks are streamed in blocks of about this size: 256 matrices at N = 16
 
 
 def max_abs(M: np.ndarray) -> float:
     """Entrywise max-modulus norm."""
     return float(np.max(np.abs(M))) if M.size else 0.0
+
+
+def _blocks(stack: np.ndarray) -> list[slice]:
+    """Consecutive slices of a stack's first axis of about BLOCK_BYTES each; at least one."""
+    size = max(1, BLOCK_BYTES // max(1, stack.itemsize * math.prod(stack.shape[1:])))
+    return [slice(i, i + size) for i in range(0, max(len(stack), 1), size)]
 
 
 def dagger(stack: np.ndarray) -> np.ndarray:
@@ -54,8 +65,8 @@ def require_hermitian_batch(hams: np.ndarray) -> None:
     The tolerance is HERMITICITY_RTOL * ||stack||_max. HamiltonianSpec.sample is
     the one caller: every H enters the library there.
     """
-    scale = max_abs(hams)
-    defect = max_abs(hams - dagger(hams))
+    parts = [(max_abs(hams[b]), max_abs(hams[b] - dagger(hams[b]))) for b in _blocks(hams)]
+    scale, defect = np.max(parts, axis=0)  # np.max, unlike max(), keeps a NaN of any block
     if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
@@ -67,9 +78,12 @@ def require_unitary(stack: np.ndarray, tol: float, what: str) -> None:
 
     NaN-safe: a non-finite X fails. The message reads "<what>: defect <value>".
     """
-    gram = matmul(dagger(stack), stack)
-    gram -= np.eye(stack.shape[-1])
-    defect = max_abs(gram)
+    eye, defects = np.eye(stack.shape[-1]), []
+    for b in _blocks(stack):
+        gram = matmul(dagger(stack[b]), stack[b])
+        gram -= eye
+        defects.append(max_abs(gram))
+    defect = np.max(defects)  # np.max, unlike max(), keeps a NaN of any block
     if not defect <= tol:
         raise AdiabaticaError(f"{what}: defect {defect:.3e}")
 
@@ -91,34 +105,48 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
     It is H = m I + H0 with m = tr(H)/N, so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0.
     A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1.
     Horner's rule P <- A P + I/j! at one degree _taylor_degree(x / 2^q), then q squarings
-    P <- P P (each doubles the rounding), run through matmul into two buffers beside A.
+    P <- P P (each doubles the rounding), run through matmul into two buffers.
+    Two passes over the blocks: the first forms A in the output stack and x, which fixes
+    q and d for the whole stack; the second exponentiates each block of A in place.
     """
     n = hams.shape[-1]
     diag = (slice(None), *np.diag_indices(n))
-    a = np.conjugate(hams.swapaxes(-1, -2), order="C", dtype=complex)  # one contiguous pass
-    a += hams  # 2 (H + H^dagger)/2; the overflow guard bounds its entries
-    m = (a[diag].real / (2 * n)).sum(axis=1)  # divided first: no overflow near the float range
-    a[diag] -= 2 * m[:, None]
-    a *= -0.5j * s  # halving is exact: the bits of a Hermitian H are kept
-    x = float(np.abs(a).sum(axis=1).max(initial=0.0))
+    # m from the whole gathered diagonal of H + H^dagger, 2 Re H_ii exactly: numpy sums a
+    # gathered (K, N) array in an order that differs between K = 1 and K > 1, so per block
+    # a one-matrix tail would change bits. Divided first: no overflow near the float range.
+    m = (2 * hams[diag].real / (2 * n)).sum(axis=1)
+    a = np.empty(hams.shape, dtype=complex)
+    blocks, x = _blocks(a), 0.0
+    for b in blocks:
+        blk = a[b]
+        np.conjugate(hams[b].swapaxes(-1, -2), out=blk, dtype=complex)
+        blk += hams[b]  # 2 (H + H^dagger)/2; the overflow guard bounds its entries
+        blk[diag] -= 2 * m[b, None]
+        blk *= -0.5j * s  # halving is exact: the bits of a Hermitian H are kept
+        x = max(x, float(np.abs(blk).sum(axis=1).max(initial=0.0)))
     q = 0
     while x > TAYLOR_MAX_NORM:
         x, q = x / 2, q + 1
-    if q:
-        a *= 2.0**-q
     d = _taylor_degree(x)
-    p = a * (1.0 / math.factorial(d))  # P = A / d! + I / (d-1)!, then d - 1 Horner products
-    p[diag] += 1.0 / math.factorial(d - 1)
-    buffer = np.empty_like(a)
-    for j in range(d - 2, -1, -1):
-        buffer = matmul(a, p, out=buffer)
-        buffer[diag] += 1.0 / math.factorial(j)
-        p, buffer = buffer, p
-    for _ in range(q):
-        buffer = matmul(p, p, out=buffer)
-        p, buffer = buffer, p
-    p *= np.exp(-1j * s * m)[:, None, None]
-    return p
+    phase = np.exp(-1j * s * m)
+    p_full, buffer_full = np.empty_like(a[blocks[0]]), np.empty_like(a[blocks[0]])
+    for b in blocks:
+        blk = a[b]
+        p, buffer = p_full[: len(blk)], buffer_full[: len(blk)]
+        if q:
+            blk *= 2.0**-q
+        # P = A / d! + I / (d-1)!, then d - 1 Horner products
+        np.multiply(blk, 1.0 / math.factorial(d), out=p)
+        p[diag] += 1.0 / math.factorial(d - 1)
+        for j in range(d - 2, -1, -1):
+            matmul(blk, p, out=buffer)
+            buffer[diag] += 1.0 / math.factorial(j)
+            p, buffer = buffer, p
+        for _ in range(q):
+            matmul(p, p, out=buffer)
+            p, buffer = buffer, p
+        np.multiply(p, phase[b, None, None], out=blk)
+    return a
 
 
 def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
+from .numerics import _blocks, dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
 from .spectral import (
     FrameTrajectory,
     HamiltonianSpec,
@@ -88,8 +88,14 @@ def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
     # Midpoint generator from adjacent grid samples, symmetrized because the
     # discrete connection carries O(dt^2) Hermiticity noise; 0.5 (M + M^dagger)
     # is exactly Hermitian in floating point, so the step kernel needs no check.
-    mids = 0.5 * (eff.values[:-1] + eff.values[1:])
-    mids = 0.5 * (mids + dagger(mids))  # rebinding frees the unsymmetrized stack
+    values = eff.values
+    mids = np.empty_like(values[1:])
+    for b in _blocks(mids):
+        blk = mids[b]
+        np.add(values[:-1][b], values[1:][b], out=blk)
+        blk *= 0.5
+        blk += dagger(blk)  # dagger copies the conjugate, so nothing is read after it is written
+        blk *= 0.5
     return _midpoint_propagators(mids, eff.frames.grid.dt)
 
 

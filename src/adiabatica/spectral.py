@@ -98,6 +98,11 @@ class HamiltonianSpec:
     analytic_frame: Optional[AnalyticFrame] = None
     batched: bool = False
 
+    def __post_init__(self):
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, not {dim!r}")
+
     def sample(self, times: np.ndarray) -> np.ndarray:
         """H at each of the K times, shape (K, N, N): one batched call or a scalar loop.
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabatica import AdiabaticaError, TimeGrid, build_frames, max_abs
+from adiabatica import AdiabaticaError, TimeGrid, build_frames, max_abs, numerics
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, exp_antihermitian_batch, matmul
 
@@ -182,6 +182,25 @@ def test_scaled_taylor_step_matches_eigh(n, k, log_x, identity_share, offset, se
     got = exp_antihermitian_batch(hams, dt)
     assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
     assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14 * (1 + x)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
+    # 7 steps in one block, in blocks of one step, and in blocks of 3, 3 and a
+    # tail of 1. The last step alone is coarse (x > TAYLOR_MAX_NORM), so every
+    # block must be scaled and squared as often as that one.
+    rng = np.random.default_rng(n)
+    y = random_complex(rng, (7, n, n))
+    hams = (y + dagger(y)) / 2 + 0.3 * np.eye(n)
+    dt = 0.5 / traceless_one_norm(hams) if n > 1 else 0.5
+    hams[-1] *= 8
+    if n > 1:  # at N = 1, H0 = 0 and no step is coarse
+        assert dt * traceless_one_norm(hams[:-1]) <= TAYLOR_MAX_NORM < dt * traceless_one_norm(hams[-1:])
+    whole = exp_antihermitian_batch(hams, dt)
+    for per_block in (1, 3):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", per_block * 16 * n * n)
+        assert len(numerics._blocks(hams)) == -(-7 // per_block)
+        assert np.array_equal(exp_antihermitian_batch(hams, dt), whole)
 
 
 def test_taylor_degree_is_the_smallest_meeting_the_bound():

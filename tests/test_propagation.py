@@ -346,17 +346,32 @@ def test_step_far_too_coarse_fails_the_drift_check_without_runtime_warning(rng):
             stepping_propagators(spec, grid)
 
 
-@pytest.mark.parametrize("defect", [1.0 + 1e-6, np.nan])
-def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect):
+@pytest.mark.parametrize(
+    "defect, last_only",
+    [
+        pytest.param(1.0 + 1e-6, False, id="1.000001"),
+        pytest.param(np.nan, False, id="nan"),
+        pytest.param(1.0 + 1e-6, True, id="1.000001-last-step"),
+        pytest.param(np.nan, True, id="nan-last-step"),
+    ],
+)
+def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect, last_only):
     # Steps that are not unitary (scaled, or NaN) must fail the drift check on
-    # the direct route and on the coefficient route alike.
+    # the direct route and on the coefficient route alike. The 33 propagators
+    # span blocks of 5, 5, ..., 3, so a defect of the last step alone reaches
+    # the last block only.
     spec = random_smooth_spec(rng, 3)
     grid = TimeGrid(0.0, 1.0, 32)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
-    monkeypatch.setattr(
-        propagation, "exp_antihermitian_batch", lambda h, s: defect * exp_antihermitian_batch(h, s)
-    )
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 5 * 16 * 3 * 3)
+
+    def defective_steps(h, s):
+        steps = exp_antihermitian_batch(h, s)
+        steps[-1 if last_only else slice(None)] *= defect
+        return steps
+
+    monkeypatch.setattr(propagation, "exp_antihermitian_batch", defective_steps)
     for run in (
         lambda: stepping_propagators(spec, grid),
         lambda: coefficient_propagate(eff, 0),
@@ -364,3 +379,25 @@ def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect):
     ):
         with pytest.raises(AdiabaticaError, match="lost unitarity"):
             run()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 8]),
+    steps=st.integers(4, 40),
+    per_block=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stepping_is_unitary_and_composes_across_blocks(n, steps, per_block, seed):
+    # Every stack the run reads (samples, steps, frames, propagators) spans several
+    # blocks. U(t3, t1) = U(t3, t2) U(t2, t1) holds to rounding at grid samples.
+    spec = random_smooth_spec(np.random.default_rng(seed), n)
+    grid = TimeGrid(0.0, 1.0, steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "BLOCK_BYTES", per_block * 16 * n * n)
+        propagators = stepping_propagators(spec, grid)
+        result = propagate(spec, grid)
+    assert max_abs(dagger(propagators) @ propagators - np.eye(n)) <= 1e-12
+    times = grid.times[:: max(1, steps // 5)]
+    triples = list(itertools.combinations(times, 3))
+    assert composition_check(stepping_evolution(result), triples) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from adiabatica import (
     rotating_model,
     stepping_propagators,
 )
+from adiabatica import numerics
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import dagger, matmul
 
@@ -44,6 +46,14 @@ def test_grid_validation():
     grid = TimeGrid(0.0, 2.0, 8)
     assert grid.dt == pytest.approx(0.25)
     assert len(grid.times) == 9
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True])
+def test_spec_rejects_a_dim_that_is_not_a_positive_integer(dim):
+    # The rule TimeGrid applies to steps: an int or numpy integer, not a bool, >= 1.
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        HamiltonianSpec(dim=dim, evaluate=lambda t: np.eye(2))
+    assert HamiltonianSpec(dim=np.int64(2), evaluate=lambda t: np.eye(2)).dim == 2
 
 
 @pytest.mark.parametrize(
@@ -302,6 +312,22 @@ def test_sample_is_the_hermitian_check_on_both_paths(batched, lower):
     spec = HamiltonianSpec(dim=2, evaluate=evaluate, batched=batched)
     with pytest.raises(NotHermitianError, match="non-finite or non-Hermitian samples"):
         spec.sample(np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("lower", [np.nan, 0.5], ids=["non-finite", "non-Hermitian"])
+def test_hermitian_check_sees_the_last_block(monkeypatch, lower):
+    # 10 samples in blocks of 3: only the last sample is bad, and the largest entry
+    # is in the first block. The message reads the whole stack's defect and scale.
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 * 16 * 2 * 2)
+    hams = np.empty((10, 2, 2), dtype=complex)
+    hams[:] = [[1.0, 0.2], [0.2, -1.0]]
+    hams[0, 0, 0] = 3.0
+    hams[-1, 1, 0] = lower
+    spec = HamiltonianSpec(dim=2, evaluate=lambda t: hams, batched=True)
+    defect, scale = max_abs(hams - dagger(hams)), max_abs(hams)
+    message = f"defect {defect:.3e} vs scale {scale:.3e}"
+    with pytest.raises(NotHermitianError, match=re.escape(message)):
+        spec.sample(np.linspace(0.0, 1.0, 10))
 
 
 def test_under_resolved_grid_raises():
