@@ -4,7 +4,9 @@ Commands: simulate, criteria, holonomy, ms-probe, composition-check, sweep.
 Output is deterministic: fixed field order and floats rendered with 17
 significant digits so doubles round-trip losslessly. Exit codes: 0 success,
 2 config validation failure or an output that cannot be written, 3 numerical
-failure (non-Hermitian input or a level crossing).
+failure (non-finite or non-Hermitian input, a non-finite or non-orthonormal
+analytic frame, a propagator or accumulated phase that overflows, an eigenvalue
+crossing, or a grid too coarse to follow the eigenvectors).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ MODEL_KEYS = {"model", "mu_B", "theta", "omega", "omega0", "tau", "n"}
 GRID_KEYS = {"t_start", "t_end", "steps"}
 SWEEP_DEFAULTS = {"ratio_min": 1e-3, "ratio_max": 1e3, "points": 61}
 MODEL_NAMES = ("rotating", "ms_second", "barred_rotating")
-MAX_STEPS = 2**20  # bound on grid steps and sweep points, checked before anything is allocated
+MAX_STEPS = 2**20  # bound on grid steps built and sweep points, checked before anything is allocated
 
 
 def _fmt(x: float) -> str:
@@ -227,6 +229,8 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             t_start, t_end = _float(grid.get("t_start")), _float(grid.get("t_end"))
             # barred_model also builds the grid at half steps; if that one holds, so does this
             built = 2 * steps if name == "barred_rotating" else steps
+            if built > MAX_STEPS:
+                out.append("steps must be at most 2**19 for barred_rotating, which builds 2 * steps")
             _construct(out, "grid", TimeGrid, t_start, t_end, built)
 
     epsilon = config.get("epsilon", 0.1)
@@ -320,10 +324,11 @@ def run_holonomy(config: dict):
 
 def run_ms_probe(config: dict):
     grid, spec, _ = _build(config)
-    report = ms_inconsistency_probe(spec, grid, level=0)
+    level = 0
+    report = ms_inconsistency_probe(spec, grid, level)
     chain = report.chain
     columns = {
-        "times": report.times,
+        "times": grid.times,
         "chain_re": chain.real,
         "chain_im": chain.imag,
         "chain_abs": np.hypot(chain.real, chain.imag),  # the bytes of scalar abs(), unlike np.abs
@@ -331,7 +336,7 @@ def run_ms_probe(config: dict):
     }
     payload = {
         "command": "ms-probe",
-        "level": report.level,
+        "level": level,
         "phase_convention": report.phase_convention,
         **columns,
     }

@@ -48,7 +48,6 @@ CYCLIC_RTOL = 1e-10
 class PhaseSplit:
     """Dynamical and geometric phase accumulated over the grid, in radians."""
 
-    level: int
     dynamical: float
     geometric: float
 
@@ -61,16 +60,22 @@ class PhaseSplit:
 class Holonomy:
     """Gauge-invariant cyclic phase factor of one level's basis vector."""
 
-    level: int
     value: complex
 
 
 def phase_split(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> PhaseSplit:
+    """int_0^T E_n dt and int_0^T A_nn dt of one level, both by the trapezoid rule.
+
+    The geometric part depends on the gauge: v_n -> e^{i alpha_n(t)} v_n shifts it
+    by alpha_n(0) - alpha_n(T). Only the holonomy is gauge-invariant. Raises
+    GridMismatchError when frames and conn were built on different grids, and
+    ValueError unless level is an integer in [0, N).
+    """
     _require_grid(frames, conn.grid)
     _require_level(level, frames.dim)
     dyn = accumulate_trapezoid(frames.energies[:, level], frames.grid.dt)[-1]
     geo = geometric_phase(conn, level)[-1]
-    return PhaseSplit(level=level, dynamical=float(dyn), geometric=float(geo))
+    return PhaseSplit(dynamical=float(dyn), geometric=float(geo))
 
 
 def holonomy(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> Holonomy:
@@ -93,7 +98,7 @@ def holonomy(frames: FrameTrajectory, conn: ConnectionMatrix, level: int) -> Hol
         )
     geo = geometric_phase(conn, level)[-1]
     overlap = np.vdot(frames.vectors[0, :, level], frames.vectors[-1, :, level])
-    return Holonomy(level=level, value=complex(overlap * np.exp(1j * geo)))
+    return Holonomy(value=complex(overlap * np.exp(1j * geo)))
 
 
 def _transform_frames(
@@ -123,18 +128,10 @@ PhaseFunction = tuple[Callable[[float], float], Callable[[float], float]]
 
 @dataclass(frozen=True)
 class GaugeCheckReport:
-    """Deviations measured under a time-dependent rephasing of the basis."""
+    """Largest deviations, over the levels, under a time-dependent rephasing of the basis."""
 
-    state_deviations: np.ndarray
-    holonomy_deviations: np.ndarray
-
-    @property
-    def max_state_deviation(self) -> float:
-        return float(np.max(self.state_deviations))
-
-    @property
-    def max_holonomy_deviation(self) -> float:
-        return float(np.max(self.holonomy_deviations))
+    max_state_deviation: float
+    max_holonomy_deviation: float
 
 
 def gauge_transform_check(
@@ -147,7 +144,7 @@ def gauge_transform_check(
     Amplitudes are recomputed with the transformed frames (connection and
     effective Hamiltonian transform accordingly); the physical amplitude must
     come back multiplied by e^{i alpha_n(0)} only, and every holonomy must be
-    unchanged. Returns per-level maxima of both deviations.
+    unchanged. Returns the largest of each deviation over the levels.
     """
     frames = build_frames(spec, grid)
     if len(phase_functions) != frames.dim:
@@ -167,14 +164,14 @@ def gauge_transform_check(
     psi = matmul(frames.vectors, _coefficient_propagators(eff))
     psi_t = matmul(tframes.vectors, _coefficient_propagators(teff))
     rays = np.exp(1j * alphas[0])
-    state_devs = np.max(np.linalg.norm(psi_t - rays * psi, axis=1), axis=0)
+    state_dev = np.max(np.linalg.norm(psi_t - rays * psi, axis=1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonCyclicWarning)
-        holo_devs = np.array(
+        holo_dev = np.max(
             [abs(holonomy(tframes, tconn, n).value - holonomy(frames, conn, n).value)
              for n in range(frames.dim)]
         )
-    return GaugeCheckReport(state_deviations=state_devs, holonomy_deviations=holo_devs)
+    return GaugeCheckReport(float(state_dev), float(holo_dev))
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,6 @@ class ChainProbeReport:
     the geometrically rephased one.
     """
 
-    level: int
-    times: np.ndarray
     chain: np.ndarray
     residual: np.ndarray
     phase_convention: ClassVar[str] = "comparison state carries exp(+i int E_n dt) on v_n(0)"
@@ -214,6 +209,4 @@ def ms_inconsistency_probe(
     phase_a = geometric_phase(conn, level)
     rephased = frames.vectors[:, :, level] * np.exp(1j * phase_a)[:, None]
     residual = np.linalg.norm(rephased - v0[None, :], axis=1)
-    return ChainProbeReport(
-        level=level, times=grid.times, chain=chain, residual=residual
-    )
+    return ChainProbeReport(chain=chain, residual=residual)

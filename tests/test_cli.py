@@ -133,6 +133,14 @@ def test_validate_steps_maximum_before_allocation():
     for steps in (2**20 + 1, 10**400):
         config["grid"]["steps"] = steps
         assert validate(config, command="criteria") == ["steps must be an integer in [16, 2**20]"]
+    # barred_rotating builds a grid of 2 * steps, so its cap is half as large
+    config["model"]["model"] = "barred_rotating"
+    config["grid"]["steps"] = 2**19
+    assert validate(config, command="criteria") == []
+    config["grid"]["steps"] = 2**19 + 1
+    assert validate(config, command="criteria") == [
+        "steps must be at most 2**19 for barred_rotating, which builds 2 * steps"
+    ]
 
 
 def test_criteria_command_verdicts(tmp_path, capsys):
@@ -352,20 +360,21 @@ def test_exit_code_3_on_overflow_prints_one_line(tmp_path, command, model):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_exit_code_3_when_barred_frames_inherit_propagator_drift(tmp_path):
-    # The 2 * 2**20-step propagator behind barred_rotating passes its own drift bound
-    # (1e-10 * 2**21), but the frames built from it (defect 1.85e-10) fail the
-    # orthonormality bound of 1e-10: a numerical error, not a traceback.
+def test_exit_code_2_when_barred_grid_exceeds_the_step_cap(tmp_path):
+    # At 2**20 steps barred_rotating would build a 2**21-step propagator whose drift
+    # fails the frames' orthonormality bound (defect 1.85e-10) after seconds and
+    # hundreds of MB; validate rejects it before anything is allocated.
     config = {
         "model": {"model": "barred_rotating", "mu_B": 1.0, "theta": 1.0, "omega": 0.5},
         "grid": {"t_start": 0.0, "t_end": 4 * np.pi, "steps": 2**20},
     }
     proc = run_cli(tmp_path, "criteria", config)
-    assert proc.returncode == 3
+    assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("adiabatica: numerical error: analytic frames not orthonormal")
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "adiabatica: invalid config: steps must be at most 2**19 for barred_rotating, "
+        "which builds 2 * steps\n"
+    )
 
 
 def test_non_cyclic_holonomy_warns_on_one_line(tmp_path, capsys):

@@ -241,6 +241,44 @@ def test_holonomy_gauge_invariance_random_smooth(rng):
     assert report.max_holonomy_deviation < 1e-8
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_gauge_covariance_and_coefficient_route_on_numeric_frames(n, seed):
+    # Continuity-gauge frames differentiate their vectors numerically, so the
+    # rephased state, the holonomy and the coefficient route all match to O(dt^2)
+    # only: doubling the steps divides each deviation by 4.
+    spec = random_smooth_spec(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(100 + seed)
+    pairs = []
+    for _ in range(n):
+        a, b, c = rng.uniform(-1, 1), rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1)
+        m, phi = rng.integers(1, 4), rng.uniform(0, 2 * np.pi)
+        pairs.append(
+            (
+                lambda t, a=a, b=b, c=c, m=m, phi=phi: a + b * t + c * np.sin(m * t + phi),
+                lambda t, b=b, c=c, m=m, phi=phi: b + c * m * np.cos(m * t + phi),
+            )
+        )
+    deviations = []
+    for steps in (256, 512):
+        grid = TimeGrid(0.0, 2.0, steps)
+        report = gauge_transform_check(spec, grid, pairs)
+        frames = build_frames(spec, grid)
+        eff = build_effective(frames, connection(frames))
+        direct = propagate(spec, grid, list(range(n)), frames=frames)
+        route = np.max([
+            np.linalg.norm(
+                np.einsum("kim,km->ki", frames.vectors, coefficient_propagate(eff, level))
+                - direct.states[level],
+                axis=1,
+            )
+            for level in range(n)
+        ])
+        deviations.append([report.max_state_deviation, report.max_holonomy_deviation, route])
+    coarse, fine = np.array(deviations)
+    assert coarse / fine == pytest.approx([4.0] * 3, rel=0.2)
+
+
 def test_probe_static_hamiltonian():
     grid = TimeGrid(0.0, 4.0, 128)
     spec = HamiltonianSpec(dim=2, evaluate=lambda t: SIGMA_Z + 0.1 * SIGMA_X)

@@ -8,7 +8,9 @@ bench/workloads.py at seeds 81 and 82, each in CSV and in JSON: 48 runs of
 `python -m adiabatica.cli` per tree. The library analyses are bench/run.py's
 `analyse` on workloads.lib_systems at the same seeds and default sizes: 6 per
 tree, run in one subprocess (`python3 tools/cli_diff.py --analyses` with the
-tree on PYTHONPATH), which prints a sha256 digest of every array they return.
+tree on PYTHONPATH), which prints a sha256 digest of every array they return
+and of the two maxima of `gauge_transform_check` on each system, under fixed
+rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n).
 Prints the runs whose exit code, stdout or stderr differ, the analyses whose
 arrays differ, and both counts; exits 1 when any differ.
 """
@@ -47,10 +49,15 @@ def analyses() -> dict:
         a = np.ascontiguousarray(value)
         return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
 
+    def rephasing(n: int) -> tuple:
+        return (lambda t: n / 2 + 0.3 * np.sin(t + n), lambda t: 0.3 * np.cos(t + n))
+
     out = {}
     for seed in SEEDS:
         for system in workloads.lib_systems(seed, ad):
             analysis = bench_run.analyse(ad, system)
+            pairs = [rephasing(n) for n in range(system.spec.dim)]
+            gauge = ad.gauge_transform_check(system.spec, system.grid, pairs)
             report, result = analysis.report, analysis.result
             witnesses = report.witnesses.values()
             arrays = {
@@ -63,6 +70,7 @@ def analyses() -> dict:
                 "phase splits": [[s.dynamical, s.geometric] for s in analysis.splits],
                 "holonomies": [h.value for h in analysis.holonomies],
                 "coefficient route": analysis.coefficients,
+                "gauge check": [gauge.max_state_deviation, gauge.max_holonomy_deviation],
             }
             out[f"seed {seed} {system.name}"] = {k: digest(v) for k, v in arrays.items()}
     return out
