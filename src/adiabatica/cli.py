@@ -48,10 +48,14 @@ from .propagation import (
 from .spectral import TimeGrid, build_frames, connection
 
 TOP_KEYS = {"command", "model", "grid", "epsilon", "energy_offset", "output", "format", "seed", "sweep"}
-MODEL_KEYS = {"model", "mu_B", "theta", "omega", "omega0", "tau", "n"}
+MODEL_KEYS = {  # the keys of each model block; a block naming no model may hold any of them
+    "rotating": {"model", "mu_B", "theta", "omega"},
+    "ms_second": {"model", "omega0", "tau", "n"},
+    "barred_rotating": {"model", "mu_B", "theta", "omega"},
+}
+MODEL_NAMES = tuple(MODEL_KEYS)
 GRID_KEYS = {"t_start", "t_end", "steps"}
 SWEEP_DEFAULTS = {"ratio_min": 1e-3, "ratio_max": 1e3, "points": 61}
-MODEL_NAMES = ("rotating", "ms_second", "barred_rotating")
 MAX_STEPS = 2**20  # bound on grid steps built and sweep points, checked before anything is allocated
 
 
@@ -179,18 +183,15 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
             out.append(f"config command {declared!r} does not match invoked command {command!r}")
     effective_command = command or declared
 
-    model = _block(out, config, "model", MODEL_KEYS, required=True) or {}
-    name = model.get("model")
+    name = config["model"].get("model") if isinstance(config.get("model"), dict) else None
+    keys = MODEL_KEYS[name] if name in MODEL_NAMES else set().union(*MODEL_KEYS.values())
+    model = _block(out, config, "model", keys, required=True) or {}
     mu_B, theta = _float(model.get("mu_B")), _float(model.get("theta"))
     if name not in MODEL_NAMES:
         out.append(f"model must be one of {MODEL_NAMES}")
     elif name == "ms_second":
-        n = model.get("n")
-        if n is None or type(n) is int:
-            omega0, tau = _float(model.get("omega0")), _float(model.get("tau"))
-            _construct(out, "ms_second model", MSSecondModelParams, omega0, tau, n)
-        else:
-            out.append("n must be an integer if given")
+        omega0, tau = _float(model.get("omega0")), _float(model.get("tau"))
+        _construct(out, "ms_second model", MSSecondModelParams, omega0, tau, model.get("n"))
     elif effective_command != "sweep":  # a sweep's drives are checked at its end ratios
         omega = _float(model.get("omega"))
         _construct(out, "rotating model", RotatingModelParams, mu_B, theta, omega)

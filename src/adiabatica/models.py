@@ -189,8 +189,8 @@ def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
 class MSSecondModelParams:
     """Two-level model with drive 2*pi/tau and fast internal frequency omega_0.
 
-    The published regime ties them as omega_0 = 2 n omega; pass regime_n to
-    enforce that relation.
+    The published regime ties them as omega_0 = 2 n omega; pass regime_n, an
+    integer and not a bool, to enforce that relation.
     """
 
     omega_0: float
@@ -203,7 +203,10 @@ class MSSecondModelParams:
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.regime_n is not None:
-            expected = 2 * self.regime_n * self.omega
+            n = self.regime_n
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError("regime_n must be an integer if given")
+            expected = 2 * n * self.omega
             if not math.isclose(self.omega_0, expected, rel_tol=1e-12):
                 raise ValueError(
                     f"omega_0 = {self.omega_0} does not equal 2 * n * omega = {expected}"

@@ -2,9 +2,10 @@
 
 Step exponentials exp(-i s H) take one of two routes, chosen from N alone: a
 closed form at N = 2, and for every other N a truncated Taylor series by
-Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both are
-unitary to rounding, not by construction; propagation checks the accumulated
-drift. Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
+Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both take
+the Hermitian part (H + H^dagger)/2 and are unitary to rounding, not by
+construction; require_unitary bounds the drift of an accumulated stack per step.
+Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
 The Taylor step and the two stack checks stream each (K, N, N) stack through
 consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's working set
 stays in cache; every matrix gets the same arithmetic in the same order, so
@@ -22,6 +23,7 @@ from .errors import AdiabaticaError, NotHermitianError
 __all__ = ["max_abs"]
 
 HERMITICITY_RTOL = 1e-12
+UNITARITY_RTOL = 1e-10  # drift allowed per step spanned by a unitary stack (require_unitary)
 TAYLOR_MAX_NORM = 1.0  # |s| ||H - tr(H)/N||_1 that scaling reaches before the Taylor series
 SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
 BLOCK_BYTES = 2**20  # stacks are streamed in blocks of about this size: 256 matrices at N = 16
@@ -59,32 +61,38 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+def _max_over_blocks(stack: np.ndarray, measure) -> np.ndarray:
+    """Elementwise max of measure(block) over the blocks of a stack, NaN-keeping as max() is not."""
+    return np.max([measure(stack[b]) for b in _blocks(stack)], axis=0)
+
+
 def require_hermitian_batch(hams: np.ndarray) -> None:
     """Raise NotHermitianError unless a (K, N, N) stack is finite and Hermitian.
 
     The tolerance is HERMITICITY_RTOL * ||stack||_max. HamiltonianSpec.sample is
     the one caller: every H enters the library there.
     """
-    parts = [(max_abs(hams[b]), max_abs(hams[b] - dagger(hams[b]))) for b in _blocks(hams)]
-    scale, defect = np.max(parts, axis=0)  # np.max, unlike max(), keeps a NaN of any block
+    scale, defect = _max_over_blocks(hams, lambda h: (max_abs(h), max_abs(h - dagger(h))))
     if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
         )
 
 
-def require_unitary(stack: np.ndarray, tol: float, what: str) -> None:
-    """Raise AdiabaticaError unless max|X^dagger X - I| over a stack of square matrices is <= tol.
+def require_unitary(stack: np.ndarray, what: str) -> None:
+    """Raise AdiabaticaError unless max|X^dagger X - I| <= UNITARITY_RTOL * max(1, K).
 
-    NaN-safe: a non-finite X fails. The message reads "<what>: defect <value>".
+    K + 1 matrices span K steps: the drift bound of a K-step propagator, which frames
+    taken from one inherit. A non-finite X fails. The message reads "<what>: defect <value>".
     """
-    eye, defects = np.eye(stack.shape[-1]), []
-    for b in _blocks(stack):
-        gram = matmul(dagger(stack[b]), stack[b])
-        gram -= eye
-        defects.append(max_abs(gram))
-    defect = np.max(defects)  # np.max, unlike max(), keeps a NaN of any block
-    if not defect <= tol:
+
+    def defect_of(block: np.ndarray) -> float:
+        gram = matmul(dagger(block), block)
+        gram -= np.eye(block.shape[-1])
+        return max_abs(gram)
+
+    defect = _max_over_blocks(stack, defect_of)
+    if not defect <= UNITARITY_RTOL * max(1, len(stack) - 1):
         raise AdiabaticaError(f"{what}: defect {defect:.3e}")
 
 
@@ -150,10 +158,10 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
 
 
 def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i * s * H) for each H of a (K, N, N) stack of Hermitian matrices, trusted as given.
+    """exp(-i * s * (H + H^dagger)/2) for each H of a (K, N, N) stack: its Hermitian part.
 
-    At N = 2, H = m I + r . sigma, read from the real diagonal and the lower
-    triangle as eigh reads it, has the closed form
+    At N = 2, that part is m I + r . sigma, read from the real diagonal and the
+    mean of H_10 and conj(H_01), with the closed form
     e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Every other N takes
     a scaled-and-squared Taylor series of the traceless part (_taylor_step).
     Both routes are unitary to rounding. Before any arithmetic on H, AdiabaticaError
@@ -168,7 +176,8 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
         raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")
     if n != 2:
         return _taylor_step(hams, s)
-    h00, h11, h10 = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+    h00, h11 = hams[:, 0, 0].real, hams[:, 1, 1].real
+    h10 = 0.5 * hams[:, 1, 0] + 0.5 * hams[:, 0, 1].conj()  # the Hermitian part's H_10
     m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
     r = np.hypot(z, np.abs(h10))
     # sin(s r) / r, which tends to s at r = 0 (H proportional to I)

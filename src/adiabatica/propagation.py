@@ -5,13 +5,14 @@ truncation; propagators accumulate left-multiplicatively so U[k] evolves from
 t_start to t_k. All K steps are exponentiated in one batched call
 (numerics.exp_antihermitian_batch), and the prefix products are a blocked scan
 of batched products (see _accumulate), so no Python loop runs per step. The
-kernel trusts its generators: H is checked finite and Hermitian where it is
-sampled (HamiltonianSpec.sample), and the coefficient route's midpoints of M
-are Hermitian by construction and finite because build_frames checked the
-frames; the kernel's overflow guard still rejects a non-finite stack. Steps
-are unitary to rounding, so every accumulated stack, direct or in coefficient
-space, is checked for drift (_midpoint_propagators). Coarse steps are scaled
-and squared; far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
+kernel exponentiates the Hermitian part of its generators: H is checked finite
+and Hermitian where it is sampled (HamiltonianSpec.sample), and the coefficient
+route's midpoints of M, Hermitian only to O(dt^2) on a grid, need no
+symmetrising; they are finite because build_frames checked the frames, and the
+kernel's overflow guard still rejects a non-finite stack. Steps are unitary
+to rounding, so every accumulated stack, direct or in coefficient space, is
+checked for drift (_midpoint_propagators). Coarse steps are scaled and squared;
+far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .numerics import _blocks, dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
+from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
 from .spectral import (
     FrameTrajectory,
     HamiltonianSpec,
@@ -43,8 +44,6 @@ __all__ = [
     "stepping_evolution",
     "stepping_propagators",
 ]
-
-UNITARITY_RTOL = 1e-10
 
 
 def _accumulate(steps: np.ndarray) -> np.ndarray:
@@ -76,27 +75,22 @@ def _accumulate(steps: np.ndarray) -> np.ndarray:
 def _midpoint_propagators(mids: np.ndarray, dt: float) -> np.ndarray:
     """Prefix products of the steps exp(-i dt mids[k]), shape (K+1, N, N).
 
-    AdiabaticaError when max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN.
+    Each step exponentiates the Hermitian part of mids[k]. AdiabaticaError when
+    max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN (require_unitary).
     """
     propagators = _accumulate(exp_antihermitian_batch(mids, dt))
-    require_unitary(propagators, UNITARITY_RTOL * len(mids), "propagator lost unitarity")
+    require_unitary(propagators, "propagator lost unitarity")
     return propagators
 
 
 def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
-    """Accumulated coefficient-space propagators under M(t), shape (steps+1, N, N)."""
-    # Midpoint generator from adjacent grid samples, symmetrized because the
-    # discrete connection carries O(dt^2) Hermiticity noise; 0.5 (M + M^dagger)
-    # is exactly Hermitian in floating point, so the step kernel needs no check.
-    values = eff.values
-    mids = np.empty_like(values[1:])
-    for b in _blocks(mids):
-        blk = mids[b]
-        np.add(values[:-1][b], values[1:][b], out=blk)
-        blk *= 0.5
-        blk += dagger(blk)  # dagger copies the conjugate, so nothing is read after it is written
-        blk *= 0.5
-    return _midpoint_propagators(mids, eff.frames.grid.dt)
+    """Accumulated coefficient-space propagators under M(t), shape (steps+1, N, N).
+
+    Step k is exp(-i (dt/2) (M_k + M_{k+1})), bit for bit the step of the midpoint
+    (M_k + M_{k+1})/2, as halving is exact, except where dt < 2 * 2**-1022 makes dt/2
+    subnormal; with ||M|| near 1e307 the kernel's overflow guard may read up to 2x higher.
+    """
+    return _midpoint_propagators(eff.values[:-1] + eff.values[1:], eff.frames.grid.dt / 2)
 
 
 @dataclass(frozen=True)

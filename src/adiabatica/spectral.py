@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 GAP_FLOOR_RTOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,10 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     (continuity gauge).
 
     Raises AdiabaticaError on non-finite analytic energies, vectors or derivatives or on
-    max|V^dagger V - I| above ORTHONORMALITY_TOL (a barred_model spec inherits the
-    drift of its 2 * steps propagator and can fail it: 1.85e-10 at 2**20 steps),
-    NotHermitianError on non-finite or non-Hermitian samples (from spec.sample), and
+    max|V^dagger V - I| above UNITARITY_RTOL * steps, the drift bound of a propagator
+    over the grid (numerics.require_unitary): a barred_model spec takes its frames
+    from a stored propagator and inherits its drift. NotHermitianError on
+    non-finite or non-Hermitian samples (from spec.sample), and
     EigenGapTooSmallError when an adjacent-level gap is at most
     1e-10 * max|E_n(t)| (crossings are unsupported) or an overlap
     |<v_{k-1,n}|v_{k,n}>| is at most 1/sqrt(2) (under-resolved grid).
@@ -199,7 +199,7 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
         energies, vectors, derivs = spec.analytic_frame(times)
         if not all(np.isfinite(x).all() for x in (energies, vectors, derivs)):
             raise AdiabaticaError("analytic frame has non-finite energies, vectors or derivatives")
-        require_unitary(vectors, ORTHONORMALITY_TOL, "analytic frames not orthonormal")
+        require_unitary(vectors, "analytic frames not orthonormal")
         _check_gaps(energies)
         return FrameTrajectory(grid, energies, vectors, derivs)
 

@@ -58,6 +58,12 @@ def test_validate_rejects_unknown_keys():
     violations = validate(config, command="criteria")
     assert any("unknown key 'extra_knob'" in v for v in violations)
     assert any("unknown model key 'surprise'" in v for v in violations)
+    # A block that names no model may hold any model's keys: one message, not one per key.
+    for name in ({}, {"model": "spin"}, {"model": ["rotating"]}):
+        unnamed = rotating_config(model={**name, "mu_B": 1.0, "tau": 3.0, "n": 2})
+        assert [v for v in validate(unnamed, command="criteria") if "model" in v] == [
+            "model must be one of ('rotating', 'ms_second', 'barred_rotating')"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -83,10 +89,32 @@ def test_validate_rejects_unknown_keys():
             {"command": "sweep", "sweep": {"points": 1}},
             "points must be an integer in [2, 2**20]",
         ),
+        ("criteria", {"seed": 1.5}, "seed must be an integer"),
+        (
+            "criteria",
+            {"model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0, "omega": 1e-3, "tau": 3.0}},
+            "unknown model key 'tau'",
+        ),
+        (
+            "holonomy",
+            {
+                "command": "holonomy",
+                "model": {"model": "ms_second", "omega0": 4 * np.pi, "tau": 1.0, "mu_B": 7},
+            },
+            "unknown model key 'mu_B'",
+        ),
+        (
+            "holonomy",
+            {
+                "command": "holonomy",
+                "model": {"model": "ms_second", "omega0": 4 * np.pi, "tau": 1.0, "n": 2.5},
+            },
+            "ms_second model: regime_n must be an integer if given",
+        ),
     ],
     ids=[
         "command", "sweep-model", "ratio-min", "ratio-max", "sweep-block", "offset", "output",
-        "points",
+        "points", "seed", "rotating-foreign-key", "ms-foreign-key", "ms-n",
     ],
 )
 def test_validate_message(command, overrides, message):
@@ -361,9 +389,8 @@ def test_exit_code_3_on_overflow_prints_one_line(tmp_path, command, model):
 
 
 def test_exit_code_2_when_barred_grid_exceeds_the_step_cap(tmp_path):
-    # At 2**20 steps barred_rotating would build a 2**21-step propagator whose drift
-    # fails the frames' orthonormality bound (defect 1.85e-10) after seconds and
-    # hundreds of MB; validate rejects it before anything is allocated.
+    # At 2**20 steps barred_rotating would build a 2**21-step propagator, about twice
+    # the 314 MB peak of a 2**19-step run; validate rejects it before anything is allocated.
     config = {
         "model": {"model": "barred_rotating", "mu_B": 1.0, "theta": 1.0, "omega": 0.5},
         "grid": {"t_start": 0.0, "t_end": 4 * np.pi, "steps": 2**20},

@@ -212,6 +212,14 @@ def test_ms_params_validation():
     assert params.omega_0 == pytest.approx(20.0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_ms_params_reject_a_regime_n_that_is_not_an_integer(n):
+    # omega = 1, so omega_0 = 2 n holds for the value n stands for: the type alone decides.
+    with pytest.raises(ValueError, match="^regime_n must be an integer if given$"):
+        MSSecondModelParams(omega_0=2.0 * n, tau=2 * np.pi, regime_n=n)
+    assert MSSecondModelParams(omega_0=2.0 * n, tau=2 * np.pi, regime_n=np.int64(n)).regime_n == n
+
+
 def test_ms_field_at_start_and_gap():
     params = MSSecondModelParams.from_regime(n=3, tau=2 * np.pi)
     spec = ms_second_model(params)

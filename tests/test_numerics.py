@@ -261,3 +261,25 @@ def test_taylor_route_exponentiates_the_hermitian_part():
     skew = 1e-13 * (y - dagger(y)) / 2
     for s in (0.1, 30.0):
         assert np.array_equal(exp_antihermitian_batch(hams + skew, s), exp_antihermitian_batch(hams, s))
+
+
+def test_both_step_routes_exponentiate_the_same_hermitian_part_at_n2():
+    # The coefficient route hands the kernel unsymmetrised sums of M: the closed form
+    # must read the Hermitian part too, as the Taylor route does, not the lower triangle.
+    rng = np.random.default_rng(11)
+    x, y = random_complex(rng, (32, 2, 2)), random_complex(rng, (32, 2, 2))
+    hams = (x + dagger(x)) / 2 + 1e-6 * (y - dagger(y)) / 2
+    for s in (0.05, 0.7, 3.0):
+        closed = exp_antihermitian_batch(hams, s)
+        assert max_abs(closed - numerics._taylor_step(hams, s)) <= 1e-13
+        assert max_abs(dagger(closed) @ closed - np.eye(2)) <= 1e-14
+
+
+def test_unitarity_bound_is_per_step_of_the_stack():
+    # max|X^dagger X - I| near 2e-10: over the bound of a one-step stack, within that of three.
+    drifted = np.sqrt(1 + 2e-10) * np.eye(3, dtype=complex)
+    with pytest.raises(AdiabaticaError, match="^drift: defect 2.000e-10$"):
+        numerics.require_unitary(np.stack([np.eye(3), drifted]), "drift")
+    numerics.require_unitary(np.stack([np.eye(3), drifted, drifted, drifted]), "drift")
+    with pytest.raises(AdiabaticaError, match="defect nan"):
+        numerics.require_unitary(np.stack([np.eye(3), drifted, np.full((3, 3), np.nan)]), "drift")

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +279,48 @@ def test_gauge_covariance_and_coefficient_route_on_numeric_frames(n, seed):
         deviations.append([report.max_state_deviation, report.max_holonomy_deviation, route])
     coarse, fine = np.array(deviations)
     assert coarse / fine == pytest.approx([4.0] * 3, rel=0.2)
+
+
+def covariant_figures(spec, grid):
+    """Criteria ratios, |c|^2 of level 0, holonomies and phase splits: unit- and origin-free."""
+    frames = build_frames(spec, grid)
+    conn = connection(frames)
+    report = criteria(build_effective(frames, conn))
+    populations = np.abs(propagate(spec, grid, [0], frames=frames).coefficients[0]) ** 2
+    levels = range(spec.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonCyclicWarning)  # the random specs are not cyclic
+        holonomies = [holonomy(frames, conn, m).value for m in levels]
+    splits = [(s.dynamical, s.geometric) for s in (phase_split(frames, conn, m) for m in levels)]
+    ratios = [report.r_naive, report.r_gap, report.r_level]
+    return [np.array(x) for x in (ratios, populations, holonomies, splits)]
+
+
+def relative_deviations(got, want):
+    return np.array([np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got, want)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_scale_and_origin_covariance(n):
+    # H -> lam H with t -> t / lam, and t -> t + t0, describe the same physics: ratios,
+    # populations, holonomies and phase splits agree with the unit-scale run to rounding.
+    # A shift rounds every grid time by about ulp(S), S the grid's largest |t|, and the
+    # finite-difference connection divides that by dt, so the tolerances grow by ulp(S)/dt.
+    # Order: ratios, |c|^2, holonomies, splits; the ratios amplify rounding by up to
+    # max(r) / min(r) (r_level reaches 332 at n = 2).
+    tol, per_ulp = np.array([1e-11, 1e-13, 1e-13, 1e-13]), np.array([100, 0.1, 0.1, 0.1])
+    spec = random_smooth_spec(np.random.default_rng(n), n)
+    reference = covariant_figures(spec, TimeGrid(0.0, 2.0, 256))
+    for lam in (1e-20, 1e-5, 1e5, 1e20):
+        scaled = HamiltonianSpec(dim=n, evaluate=lambda t, lam=lam: lam * spec.evaluate(lam * t))
+        got = covariant_figures(scaled, TimeGrid(0.0, 2.0 / lam, 256))
+        assert (relative_deviations(got, reference) <= tol).all(), lam
+    reference = covariant_figures(spec, TimeGrid(0.0, 2.1, 300))
+    for t0 in (0.37, -12.9, 1e3 + 0.1, 1e6 + 0.3):
+        shifted = HamiltonianSpec(dim=n, evaluate=lambda t, t0=t0: spec.evaluate(t - t0))
+        grid = TimeGrid(t0, t0 + 2.1, 300)
+        bound = tol + per_ulp * math.ulp(max(abs(grid.t_start), abs(grid.t_end))) / grid.dt
+        assert (relative_deviations(covariant_figures(shifted, grid), reference) <= bound).all(), t0
 
 
 def test_probe_static_hamiltonian():

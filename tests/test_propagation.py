@@ -52,7 +52,8 @@ def exact_initial(params, level):
 )
 def test_hamiltonians_are_checked_once_where_they_are_sampled(monkeypatch, entry, calls):
     # HamiltonianSpec.sample is the one Hermiticity check: frames and step kernels trust
-    # what they are given, so the coefficient route's symmetrized M is never re-checked.
+    # what they are given, and the step kernel takes the Hermitian part of the coefficient
+    # route's unsymmetrised sums of M, so those are never checked.
     params = RotatingModelParams(mu_B=1.0, theta=1.0, omega=0.5)
     analytic = rotating_model(params)
     numeric = HamiltonianSpec(dim=2, evaluate=analytic.evaluate, batched=True)

@@ -109,16 +109,21 @@ def test_non_finite_analytic_frame_raises():
 
 
 def test_non_orthonormal_analytic_frame_raises_a_numerical_error():
-    # Vectors scaled by 1 + 5e-10 leave max|V^dagger V - I| near 1e-9, above the 1e-10 bound.
+    # The bound is 1e-10 per grid step, 1.6e-9 on 16 steps. Vectors scaled by 1 + 5e-9
+    # leave max|V^dagger V - I| near 1e-8 and raise; by 1 + 5e-10, near 1e-9, they pass.
     spec = rotating_model(RotatingModelParams(mu_B=1.0, theta=np.pi / 3, omega=0.5))
 
-    def frame(times):
-        energies, vectors, derivs = spec.analytic_frame(times)
-        return energies, vectors * (1 + 5e-10), derivs
+    def scaled(factor):
+        def frame(times):
+            energies, vectors, derivs = spec.analytic_frame(times)
+            return energies, vectors * factor, derivs
+
+        return HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame)
 
     grid = TimeGrid(0.0, 1.0, 16)
-    with pytest.raises(AdiabaticaError, match="not orthonormal"):
-        build_frames(HamiltonianSpec(dim=2, evaluate=spec.evaluate, analytic_frame=frame), grid)
+    with pytest.raises(AdiabaticaError, match="analytic frames not orthonormal"):
+        build_frames(scaled(1 + 5e-9), grid)
+    assert build_frames(scaled(1 + 5e-10), grid).grid == grid
 
 
 def test_static_frames_constant():
