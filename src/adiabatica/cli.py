@@ -45,7 +45,7 @@ from .propagation import (
     propagate,
     stepping_evolution,
 )
-from .spectral import TimeGrid, build_frames, connection
+from .spectral import TimeGrid, _is_integer, build_frames, connection
 
 TOP_KEYS = {"command", "model", "grid", "epsilon", "energy_offset", "output", "format", "seed", "sweep"}
 MODEL_KEYS = {  # the keys of each model block; a block naming no model may hold any of them
@@ -211,7 +211,7 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
                     label = f"sweep at ratio {ratio!r}"
                     if not _construct(out, label, RotatingModelParams, mu_B, theta, mu_B * ratio):
                         break
-            if type(points) is not int or not 2 <= points <= MAX_STEPS:
+            if not _is_integer(points) or not 2 <= points <= MAX_STEPS:
                 out.append("points must be an integer in [2, 2**20]")
     elif "sweep" in config:
         out.append("sweep block is only valid for the sweep command")
@@ -224,7 +224,7 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     else:
         grid = _block(out, config, "grid", GRID_KEYS, required=True) or {}
         steps = grid.get("steps")
-        if type(steps) is not int or not 16 <= steps <= MAX_STEPS:
+        if not _is_integer(steps) or not 16 <= steps <= MAX_STEPS:
             out.append("steps must be an integer in [16, 2**20]")
         else:
             t_start, t_end = _float(grid.get("t_start")), _float(grid.get("t_end"))
@@ -243,7 +243,7 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     if fmt not in ("csv", "json"):
         out.append("format must be 'csv' or 'json'")
     seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_integer(seed):
         out.append("seed must be an integer")
     if "output" in config and not isinstance(config["output"], str):
         out.append("output must be a path string")

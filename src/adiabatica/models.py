@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import dagger, matmul
 from .propagation import stepping_propagators
-from .spectral import HamiltonianSpec, TimeGrid, _require_level
+from .spectral import HamiltonianSpec, TimeGrid, _is_integer, _require_level
 
 __all__ = [
     "MSSecondModelParams",
@@ -204,7 +204,7 @@ class MSSecondModelParams:
             raise ValueError("tau must be positive")
         if self.regime_n is not None:
             n = self.regime_n
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            if not _is_integer(n):
                 raise ValueError("regime_n must be an integer if given")
             expected = 2 * n * self.omega
             if not math.isclose(self.omega_0, expected, rel_tol=1e-12):

@@ -9,12 +9,17 @@ Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
 The Taylor step and the two stack checks stream each (K, N, N) stack through
 consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's working set
 stays in cache; every matrix gets the same arithmetic in the same order, so
-the results do not depend on the block size, bit for bit.
+the results do not depend on the block size, bit for bit. eigh_batch shares
+blocks of about BLOCK_BYTES / 8 among one thread per CPU the process may run
+on, so pinning the process to one CPU (taskset) runs it on one thread; each
+matrix gets the same LAPACK call, so its results are np.linalg.eigh's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -34,9 +39,10 @@ def max_abs(M: np.ndarray) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
-def _blocks(stack: np.ndarray) -> list[slice]:
-    """Consecutive slices of a stack's first axis of about BLOCK_BYTES each; at least one."""
-    size = max(1, BLOCK_BYTES // max(1, stack.itemsize * math.prod(stack.shape[1:])))
+def _blocks(stack: np.ndarray, nbytes: int | None = None) -> list[slice]:
+    """Consecutive first-axis slices of about nbytes each, BLOCK_BYTES if None; at least one."""
+    nbytes = BLOCK_BYTES if nbytes is None else nbytes
+    size = max(1, nbytes // max(1, stack.itemsize * math.prod(stack.shape[1:])))
     return [slice(i, i + size) for i in range(0, max(len(stack), 1), size)]
 
 
@@ -59,6 +65,43 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     for j in range(1, n):
         out += a[..., :, j, None] * b[..., None, j, :]
     return out
+
+
+def eigh_batch(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a (K, N, N) stack, its blocks shared among the CPUs the process may use.
+
+    The calling thread and one thread per further usable CPU take blocks of about
+    BLOCK_BYTES / 8 from one iterator and write each block's eigh into their own
+    slices of the preallocated outputs. Every thread is joined before it returns, and
+    the first exception a thread raised is raised here. A one-block stack, or a process
+    with one usable CPU, makes the single np.linalg.eigh call.
+    """
+    blocks = _blocks(hams, BLOCK_BYTES // 8)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(blocks), cpus or 1)
+    if workers < 2:
+        return np.linalg.eigh(hams)
+    energies, vectors = np.empty(hams.shape[:-1], hams.real.dtype), np.empty_like(hams)
+    todo, errors = iter(blocks), []
+
+    def work() -> None:
+        try:
+            for b in todo:  # next() on a list iterator is one step under the GIL
+                energies[b], vectors[b] = np.linalg.eigh(hams[b])
+        except Exception as exc:  # raised in the caller once every thread has joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return energies, vectors
 
 
 def _max_over_blocks(stack: np.ndarray, measure) -> np.ndarray:

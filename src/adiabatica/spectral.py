@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdiabaticaError, EigenGapTooSmallError, GridMismatchError
-from .numerics import dagger, matmul, max_abs, require_hermitian_batch, require_unitary
+from .numerics import dagger, eigh_batch, matmul, max_abs, require_hermitian_batch, require_unitary
 
 __all__ = [
     "ConnectionMatrix",
@@ -28,6 +28,11 @@ __all__ = [
 GAP_FLOOR_RTOL = 1e-10
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, and not a bool: the one test of every integer argument."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of steps+1 sample times on [t_start, t_end] (hbar = 1 units)."""
@@ -37,8 +42,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        steps = self.steps
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        if not _is_integer(self.steps) or self.steps < 1:
             raise ValueError("steps must be a positive integer")
         if not all(math.isfinite(x) for x in (self.t_start, self.t_end, self.dt)):
             raise ValueError("t_start, t_end and the step dt must be finite")
@@ -98,9 +102,8 @@ class HamiltonianSpec:
     batched: bool = False
 
     def __post_init__(self):
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, not {dim!r}")
+        if not _is_integer(self.dim) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, not {self.dim!r}")
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """H at each of the K times, shape (K, N, N): one batched call or a scalar loop.
@@ -151,7 +154,7 @@ def _require_grid(frames: FrameTrajectory, grid: TimeGrid) -> None:
 
 def _require_level(level, dim: int) -> None:
     """ValueError unless level is an integer, not a bool, in [0, dim)."""
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or not 0 <= level < dim:
+    if not _is_integer(level) or not 0 <= level < dim:
         raise ValueError(f"level must be an integer in [0, {dim}), not {level!r}")
 
 
@@ -180,7 +183,8 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     With model-supplied analytic frames they are taken verbatim from one call
     on the whole time array. Otherwise H is sampled with spec.sample (one
     call for batched specs) and each grid point is eigendecomposed by LAPACK
-    through np.linalg.eigh, which is deterministic for identical input; level n
+    through numerics.eigh_batch, np.linalg.eigh over the CPUs the process may
+    use, which is deterministic for identical input; level n
     is the n-th eigenvalue in ascending order, and each eigenvector phase is
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).
@@ -203,7 +207,7 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
         _check_gaps(energies)
         return FrameTrajectory(grid, energies, vectors, derivs)
 
-    energies, vectors = np.linalg.eigh(spec.sample(times))
+    energies, vectors = eigh_batch(spec.sample(times))
     _check_gaps(energies)
 
     # Continuity gauge: multiply level n at step k by the conjugate phases of the

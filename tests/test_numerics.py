@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -283,3 +288,107 @@ def test_unitarity_bound_is_per_step_of_the_stack():
     numerics.require_unitary(np.stack([np.eye(3), drifted, drifted, drifted]), "drift")
     with pytest.raises(AdiabaticaError, match="defect nan"):
         numerics.require_unitary(np.stack([np.eye(3), drifted, np.full((3, 3), np.nan)]), "drift")
+
+
+def hermitian_stack(rng, k, n):
+    y = random_complex(rng, (k, n, n))
+    return (y + dagger(y)) / 2
+
+
+def eigh_block(n):
+    """Matrices in one eigh_batch block of complex N x N matrices."""
+    return numerics.BLOCK_BYTES // 8 // (16 * n * n)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """eigh_batch sees three usable CPUs, so it starts two threads on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def equal_bits(got, want):
+    return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+@pytest.mark.parametrize("blocks, tail", [(1, 0), (2, 0), (5, 3)])
+def test_eigh_batch_is_numpy_eigh_bit_for_bit(three_cpus, n, blocks, tail):
+    hams = hermitian_stack(np.random.default_rng(n), blocks * eigh_block(n) + tail, n)
+    assert len(numerics._blocks(hams, numerics.BLOCK_BYTES // 8)) == blocks + (tail > 0)
+    assert equal_bits(numerics.eigh_batch(hams), np.linalg.eigh(hams))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 8, 16]), k=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_eigh_batch_is_numpy_eigh_at_every_stack_length(n, k, seed):
+    hams = hermitian_stack(np.random.default_rng(seed), k, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert equal_bits(numerics.eigh_batch(hams), np.linalg.eigh(hams))
+
+
+def record_starts(monkeypatch) -> list:
+    """The threads started from now on, in the order they started."""
+    started, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_eigh_batch_joins_every_thread_it_starts(three_cpus, monkeypatch):
+    hams = hermitian_stack(np.random.default_rng(1), 7 * eigh_block(8) + 1, 8)
+    before, started = threading.active_count(), record_starts(monkeypatch)
+    assert equal_bits(numerics.eigh_batch(hams), np.linalg.eigh(hams))
+    assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_eigh_batch_raises_a_block_error_after_every_thread_joined(three_cpus, monkeypatch):
+    # One block of six fails; the others sleep first, so a caller that raised before
+    # joining would leave threads running and calls unfinished.
+    per = eigh_block(8)
+    hams = hermitian_stack(np.random.default_rng(2), 6 * per, 8)
+    hams[2 * per + 5, 0, 0] = 1e3
+    eigh, finished = np.linalg.eigh, []
+
+    def fake_eigh(block):
+        if (block[:, 0, 0] == 1e3).any():
+            raise np.linalg.LinAlgError("bad block")
+        time.sleep(0.05)
+        finished.append(len(block))
+        return eigh(block)
+
+    monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+    before, started = threading.active_count(), record_starts(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="bad block"):
+        numerics.eigh_batch(hams)
+    assert finished == [per] * 5
+    assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_eigh_batch_on_one_cpu_is_one_call_on_the_calling_thread():
+    code = """
+import os, threading
+import numpy as np
+from adiabatica import numerics
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+def refuse(self):
+    raise AssertionError("a thread was started")
+threading.Thread.start = refuse
+rng = np.random.default_rng(3)
+y = rng.normal(size=(4097, 8, 8)) + 1j * rng.normal(size=(4097, 8, 8))
+hams = (y + y.conj().swapaxes(1, 2)) / 2
+assert len(numerics._blocks(hams, numerics.BLOCK_BYTES // 8)) > 1
+got, want = numerics.eigh_batch(hams), np.linalg.eigh(hams)
+assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+print(threading.active_count())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
