@@ -300,10 +300,14 @@ def eigh_block(n):
     return numerics.BLOCK_BYTES // 8 // (16 * n * n)
 
 
+def pretend_three_cpus(patch):
+    """eigh_batch sees three usable CPUs, so it starts two threads on any machine."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """eigh_batch sees three usable CPUs, so it starts two threads on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pretend_three_cpus(monkeypatch)
 
 
 def equal_bits(got, want):
@@ -323,7 +327,7 @@ def test_eigh_batch_is_numpy_eigh_bit_for_bit(three_cpus, n, blocks, tail):
 def test_eigh_batch_is_numpy_eigh_at_every_stack_length(n, k, seed):
     hams = hermitian_stack(np.random.default_rng(seed), k, n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        pretend_three_cpus(patch)
         assert equal_bits(numerics.eigh_batch(hams), np.linalg.eigh(hams))
 
 
