@@ -10,9 +10,10 @@ The Taylor step and the two stack checks stream each (K, N, N) stack through
 consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's working set
 stays in cache; every matrix gets the same arithmetic in the same order, so
 the results do not depend on the block size, bit for bit. eigh_batch shares
-blocks of about BLOCK_BYTES / 8 among one thread per CPU the process may run
-on, so pinning the process to one CPU (taskset) runs it on one thread; each
-matrix gets the same LAPACK call, so its results are np.linalg.eigh's, bit for bit.
+blocks of about BLOCK_BYTES / 8 among as many threads as the process may use
+CPUs, at most EIGH_MAX_THREADS, so pinning the process to one CPU (taskset)
+runs it on the calling thread alone; each matrix gets the same LAPACK call,
+so its results are np.linalg.eigh's, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ UNITARITY_RTOL = 1e-10  # drift allowed per step spanned by a unitary stack (req
 TAYLOR_MAX_NORM = 1.0  # |s| ||H - tr(H)/N||_1 that scaling reaches before the Taylor series
 SMALL_PRODUCT_MAX_N = 3  # above this contracted size one BLAS call per matrix is cheaper
 BLOCK_BYTES = 2**20  # stacks are streamed in blocks of about this size: 256 matrices at N = 16
+EIGH_MAX_THREADS = 2  # eigh_batch threads, the calling one included: the most measured to pay
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -68,34 +70,32 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 def eigh_batch(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a (K, N, N) stack, its blocks shared among the CPUs the process may use.
+    """np.linalg.eigh of a (K, N, N) float or complex stack, its blocks shared among threads.
 
-    The calling thread and one thread per further usable CPU take blocks of about
-    BLOCK_BYTES / 8 from one iterator and write each block's eigh into their own
-    slices of the preallocated outputs. Every thread is joined before it returns, and
-    the first exception a thread raised is raised here. A one-block stack, or a process
-    with one usable CPU, makes the single np.linalg.eigh call.
+    The stack is cut into blocks of about BLOCK_BYTES / 8. With w the least of the
+    block count, the usable CPUs and EIGH_MAX_THREADS, thread i of w takes every w-th
+    block from block i and writes its eigh into its own slices of the preallocated
+    outputs; the calling thread is thread 0 and starts the other w - 1. Every thread
+    is joined before it returns, and the first exception a thread raised is raised here.
     """
     blocks = _blocks(hams, BLOCK_BYTES // 8)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(blocks), cpus or 1)
-    if workers < 2:
-        return np.linalg.eigh(hams)
+    workers = min(len(blocks), cpus or 1, EIGH_MAX_THREADS)
     energies, vectors = np.empty(hams.shape[:-1], hams.real.dtype), np.empty_like(hams)
-    todo, errors = iter(blocks), []
+    errors = []
 
-    def work() -> None:
+    def work(share: list[slice]) -> None:
         try:
-            for b in todo:  # next() on a list iterator is one step under the GIL
+            for b in share:
                 energies[b], vectors[b] = np.linalg.eigh(hams[b])
         except Exception as exc:  # raised in the caller once every thread has joined
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(blocks[i::workers],)) for i in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        work()
+        work(blocks[::workers])
     finally:
         for thread in threads:
             thread.join()

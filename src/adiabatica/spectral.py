@@ -183,8 +183,8 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     With model-supplied analytic frames they are taken verbatim from one call
     on the whole time array. Otherwise H is sampled with spec.sample (one
     call for batched specs) and each grid point is eigendecomposed by LAPACK
-    through numerics.eigh_batch, np.linalg.eigh over the CPUs the process may
-    use, which is deterministic for identical input; level n
+    through numerics.eigh_batch, np.linalg.eigh on up to EIGH_MAX_THREADS
+    threads, which is deterministic for identical input; level n
     is the n-th eigenvalue in ascending order, and each eigenvector phase is
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).

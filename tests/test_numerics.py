@@ -301,8 +301,9 @@ def eigh_block(n):
 
 
 def pretend_three_cpus(patch):
-    """eigh_batch sees three usable CPUs, so it starts two threads on any machine."""
+    """eigh_batch sees three usable CPUs and may use them, so it starts two threads on any machine."""
     patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    patch.setattr(numerics, "EIGH_MAX_THREADS", 3)
 
 
 @pytest.fixture
@@ -343,30 +344,48 @@ def record_starts(monkeypatch) -> list:
     return started
 
 
-def test_eigh_batch_joins_every_thread_it_starts(three_cpus, monkeypatch):
-    hams = hermitian_stack(np.random.default_rng(1), 7 * eigh_block(8) + 1, 8)
-    before, started = threading.active_count(), record_starts(monkeypatch)
-    assert equal_bits(numerics.eigh_batch(hams), np.linalg.eigh(hams))
-    assert len(started) == 2 and not any(thread.is_alive() for thread in started)
-    assert threading.active_count() == before
-
-
-def test_eigh_batch_raises_a_block_error_after_every_thread_joined(three_cpus, monkeypatch):
-    # One block of six fails; the others sleep first, so a caller that raised before
-    # joining would leave threads running and calls unfinished.
-    per = eigh_block(8)
-    hams = hermitian_stack(np.random.default_rng(2), 6 * per, 8)
-    hams[2 * per + 5, 0, 0] = 1e3
-    eigh, finished = np.linalg.eigh, []
+def slow_off_the_calling_thread(monkeypatch, fail_at=None) -> list:
+    """np.linalg.eigh sleeps 50 ms per block on started threads, so a caller that did not
+    join them would return first, and raises LinAlgError on a block with a matrix whose
+    [0, 0] entry is fail_at. Returns the lengths of the blocks it finished, in order."""
+    eigh, caller, finished = np.linalg.eigh, threading.current_thread(), []
 
     def fake_eigh(block):
-        if (block[:, 0, 0] == 1e3).any():
+        if (block[:, 0, 0] == fail_at).any():
             raise np.linalg.LinAlgError("bad block")
-        time.sleep(0.05)
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)
         finished.append(len(block))
         return eigh(block)
 
     monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+    return finished
+
+
+def test_eigh_batch_joins_every_thread_it_starts(three_cpus, monkeypatch):
+    hams = hermitian_stack(np.random.default_rng(1), 7 * eigh_block(8) + 1, 8)
+    want = np.linalg.eigh(hams)
+    slow_off_the_calling_thread(monkeypatch)
+    before, started = threading.active_count(), record_starts(monkeypatch)
+    assert equal_bits(numerics.eigh_batch(hams), want)
+    assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_eigh_batch_starts_no_more_threads_than_its_cap(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    hams = hermitian_stack(np.random.default_rng(4), 9 * eigh_block(8) + 1, 8)
+    started = record_starts(monkeypatch)
+    assert equal_bits(numerics.eigh_batch(hams), np.linalg.eigh(hams))
+    assert len(started) == numerics.EIGH_MAX_THREADS - 1
+
+
+def test_eigh_batch_raises_a_block_error_after_every_thread_joined(three_cpus, monkeypatch):
+    # The last of six blocks fails, the second of a started thread's share.
+    per = eigh_block(8)
+    hams = hermitian_stack(np.random.default_rng(2), 6 * per, 8)
+    hams[5 * per + 5, 0, 0] = 1e3
+    finished = slow_off_the_calling_thread(monkeypatch, fail_at=1e3)
     before, started = threading.active_count(), record_starts(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="bad block"):
         numerics.eigh_batch(hams)
@@ -376,7 +395,7 @@ def test_eigh_batch_raises_a_block_error_after_every_thread_joined(three_cpus, m
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_eigh_batch_on_one_cpu_is_one_call_on_the_calling_thread():
+def test_eigh_batch_on_one_cpu_runs_on_the_calling_thread_alone():
     code = """
 import os, threading
 import numpy as np
