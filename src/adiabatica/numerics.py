@@ -72,30 +72,34 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def eigh_batch(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a (K, N, N) float or complex stack, its blocks shared among threads.
 
-    The stack is cut into blocks of about BLOCK_BYTES / 8. With w the least of the
-    block count, the usable CPUs and EIGH_MAX_THREADS, thread i of w takes every w-th
-    block from block i and writes its eigh into its own slices of the preallocated
-    outputs; the calling thread is thread 0 and starts the other w - 1. Every thread
-    is joined before it returns, and the first exception a thread raised is raised here.
+    The stack is cut into blocks of about BLOCK_BYTES / 8. The calling thread starts
+    w - 1 more, w the least of the block count, the usable CPUs and EIGH_MAX_THREADS,
+    and each thread takes the next untaken block until none is left, writing its eigh
+    into that block's slices of the preallocated outputs. Every thread is joined before
+    it returns, and the first exception a thread raised is raised here.
     """
     blocks = _blocks(hams, BLOCK_BYTES // 8)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(blocks), cpus or 1, EIGH_MAX_THREADS)
     energies, vectors = np.empty(hams.shape[:-1], hams.real.dtype), np.empty_like(hams)
-    errors = []
+    todo, lock, errors = iter(blocks), threading.Lock(), []
 
-    def work(share: list[slice]) -> None:
+    def next_block() -> slice | None:
+        with lock:  # a shared iterator is safe only under the GIL, which free-threaded builds lack
+            return next(todo, None)
+
+    def work() -> None:
         try:
-            for b in share:
+            for b in iter(next_block, None):
                 energies[b], vectors[b] = np.linalg.eigh(hams[b])
         except Exception as exc:  # raised in the caller once every thread has joined
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(blocks[i::workers],)) for i in range(1, workers)]
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
     try:
-        work(blocks[::workers])
+        work()
     finally:
         for thread in threads:
             thread.join()

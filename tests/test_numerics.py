@@ -344,17 +344,22 @@ def record_starts(monkeypatch) -> list:
     return started
 
 
-def slow_off_the_calling_thread(monkeypatch, fail_at=None) -> list:
-    """np.linalg.eigh sleeps 50 ms per block on started threads, so a caller that did not
-    join them would return first, and raises LinAlgError on a block with a matrix whose
-    [0, 0] entry is fail_at. Returns the lengths of the blocks it finished, in order."""
+def gated_eigh(monkeypatch, started: list, fail: bool = False) -> list:
+    """np.linalg.eigh that holds each of three threads at its first block until all three
+    hold one, then sleeps 50 ms per block on the started threads, so a caller that did not
+    join them would return first. With fail, the first thread started raises LinAlgError
+    on its first block. Returns the lengths of the blocks it finished, in order."""
     eigh, caller, finished = np.linalg.eigh, threading.current_thread(), []
+    gate, seen = threading.Barrier(3, timeout=30), threading.local()
 
     def fake_eigh(block):
-        if (block[:, 0, 0] == fail_at).any():
-            raise np.linalg.LinAlgError("bad block")
+        if not getattr(seen, "first", False):
+            seen.first = True
+            gate.wait()
         if threading.current_thread() is not caller:
             time.sleep(0.05)
+            if fail and threading.current_thread() is started[0]:
+                raise np.linalg.LinAlgError("bad block")
         finished.append(len(block))
         return eigh(block)
 
@@ -365,8 +370,8 @@ def slow_off_the_calling_thread(monkeypatch, fail_at=None) -> list:
 def test_eigh_batch_joins_every_thread_it_starts(three_cpus, monkeypatch):
     hams = hermitian_stack(np.random.default_rng(1), 7 * eigh_block(8) + 1, 8)
     want = np.linalg.eigh(hams)
-    slow_off_the_calling_thread(monkeypatch)
     before, started = threading.active_count(), record_starts(monkeypatch)
+    gated_eigh(monkeypatch, started)
     assert equal_bits(numerics.eigh_batch(hams), want)
     assert len(started) == 2 and not any(thread.is_alive() for thread in started)
     assert threading.active_count() == before
@@ -381,12 +386,10 @@ def test_eigh_batch_starts_no_more_threads_than_its_cap(monkeypatch):
 
 
 def test_eigh_batch_raises_a_block_error_after_every_thread_joined(three_cpus, monkeypatch):
-    # The last of six blocks fails, the second of a started thread's share.
     per = eigh_block(8)
     hams = hermitian_stack(np.random.default_rng(2), 6 * per, 8)
-    hams[5 * per + 5, 0, 0] = 1e3
-    finished = slow_off_the_calling_thread(monkeypatch, fail_at=1e3)
     before, started = threading.active_count(), record_starts(monkeypatch)
+    finished = gated_eigh(monkeypatch, started, fail=True)
     with pytest.raises(np.linalg.LinAlgError, match="bad block"):
         numerics.eigh_batch(hams)
     assert finished == [per] * 5
