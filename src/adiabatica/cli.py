@@ -59,12 +59,8 @@ SWEEP_DEFAULTS = {"ratio_min": 1e-3, "ratio_max": 1e3, "points": 61}
 MAX_STEPS = 2**20  # bound on grid steps built and sweep points, checked before anything is allocated
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_float(x: float) -> str:
-    return _fmt(x) if math.isfinite(x) else json.dumps(x)  # Infinity, -Infinity, NaN
+    return "%.17g" % x if math.isfinite(x) else json.dumps(x)  # Infinity, -Infinity, NaN
 
 
 def _float_block(
@@ -122,7 +118,7 @@ def _to_csv(header: list[str], rows) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, (float, np.floating)):
-            return _fmt(v)
+            return "%.17g" % v
         return str(v)
 
     lines = [",".join(header)]
@@ -160,12 +156,12 @@ def _block(out: list[str], config: dict, name: str, keys, required: bool) -> Opt
     return block
 
 
-def validate(config: dict, command: Optional[str] = None) -> list[str]:
-    """Collect all config violations; an empty list means the config is valid.
+def validate(config: dict, command: str) -> list[str]:
+    """Collect the violations of config, run as command; an empty list means it is valid.
 
-    Never raises on malformed input: wrong types and unknown keys come back
-    as violation strings. Model parameters and grids are checked by their
-    constructors (RotatingModelParams, MSSecondModelParams, TimeGrid).
+    Never raises on malformed input: wrong types, unknown keys and a declared command
+    other than command come back as violation strings. RotatingModelParams,
+    MSSecondModelParams and TimeGrid check the model parameters and the grid.
     """
     out: list[str] = []
     if not isinstance(config, dict):
@@ -179,9 +175,8 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     if declared is not None:
         if declared not in COMMANDS:
             out.append(f"command must be one of {COMMANDS}")
-        elif command is not None and declared != command:
+        elif declared != command:
             out.append(f"config command {declared!r} does not match invoked command {command!r}")
-    effective_command = command or declared
 
     name = config["model"].get("model") if isinstance(config.get("model"), dict) else None
     keys = MODEL_KEYS[name] if name in MODEL_NAMES else set().union(*MODEL_KEYS.values())
@@ -192,11 +187,11 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
     elif name == "ms_second":
         omega0, tau = _float(model.get("omega0")), _float(model.get("tau"))
         _construct(out, "ms_second model", MSSecondModelParams, omega0, tau, model.get("n"))
-    elif effective_command != "sweep":  # a sweep's drives are checked at its end ratios
+    elif command != "sweep":  # a sweep's drives are checked at its end ratios
         omega = _float(model.get("omega"))
         _construct(out, "rotating model", RotatingModelParams, mu_B, theta, omega)
 
-    if effective_command == "sweep":
+    if command == "sweep":
         if name is not None and name != "rotating":
             out.append("sweep requires the rotating model")
         sweep = _block(out, config, "sweep", SWEEP_DEFAULTS, required=False)
@@ -213,15 +208,12 @@ def validate(config: dict, command: Optional[str] = None) -> list[str]:
                         break
             if not _is_integer(points) or not 2 <= points <= MAX_STEPS:
                 out.append("points must be an integer in [2, 2**20]")
-    elif "sweep" in config:
-        out.append("sweep block is only valid for the sweep command")
-
-    if effective_command == "composition-check" and name is not None and name != "ms_second":
-        out.append("composition-check requires the ms_second model")
-
-    if effective_command == "sweep":
         _block(out, config, "grid", GRID_KEYS, required=False)  # run_sweep reads no grid
     else:
+        if "sweep" in config:
+            out.append("sweep block is only valid for the sweep command")
+        if command == "composition-check" and name is not None and name != "ms_second":
+            out.append("composition-check requires the ms_second model")
         grid = _block(out, config, "grid", GRID_KEYS, required=True) or {}
         steps = grid.get("steps")
         if not _is_integer(steps) or not 16 <= steps <= MAX_STEPS:

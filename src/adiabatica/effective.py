@@ -22,13 +22,13 @@ WITNESS_RTOL = 1e-9
 
 
 def accumulate_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid quadrature on a uniform grid; result[0] = 0.
+    """Cumulative trapezoid quadrature of (K,) or (K, N) values along axis 0; result[0] = 0.
 
-    Raises AdiabaticaError when the sum overflows or meets a non-finite value.
+    dt is the uniform step. Raises AdiabaticaError when any column's sum is not finite.
     """
-    out = np.zeros(len(values), dtype=np.result_type(values, float))
-    np.cumsum((values[1:] + values[:-1]) * (dt / 2), out=out[1:])
-    if not np.isfinite(out[-1]):  # a non-finite partial sum stays non-finite
+    out = np.zeros(values.shape, dtype=np.result_type(values, float))
+    np.cumsum((values[1:] + values[:-1]) * (dt / 2), axis=0, out=out[1:])
+    if not np.isfinite(out[-1]).all():  # a non-finite partial sum stays non-finite
         raise AdiabaticaError(f"accumulated phase is not finite: {out[-1]}")
     return out
 

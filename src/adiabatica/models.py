@@ -289,14 +289,17 @@ def ms_candidate_evolution(
 
     The published form depends only on the elapsed time, with the in-plane
     axis n(s) = (cos(omega s), sin(omega s), 0); that reading is exactly what
-    the composition-law check interrogates. fixed_direction freezes the axis
-    to a constant unit vector instead.
+    the composition-law check interrogates. fixed_direction, a finite nonzero
+    3-vector (else ValueError), freezes the axis to a constant unit vector instead.
     """
     s = t2 - t1
     if fixed_direction is None:
         axis = np.array([math.cos(params.omega * s), math.sin(params.omega * s), 0.0])
     else:
         axis = np.asarray(fixed_direction, dtype=float)
+        if axis.shape != (3,) or not np.isfinite(axis).all() or not axis.any():
+            raise ValueError("fixed_direction must be a finite, nonzero vector of shape (3,)")
+        axis = axis / np.abs(axis).max()  # so that the norm neither overflows nor underflows
         axis = axis / np.linalg.norm(axis)
     angle = params.omega_0 * s
     return math.cos(angle) * np.eye(2, dtype=complex) - 1j * math.sin(angle) * _dot_sigma(axis)

@@ -118,8 +118,8 @@ def _transform_frames(
 def parallel_transport(frames: FrameTrajectory, conn: ConnectionMatrix) -> FrameTrajectory:
     """Rephase each level by exp{i int_0^t A_nn dt'} so <v~_n | d/dt v~_n> vanishes."""
     _require_grid(frames, conn.grid)
-    phases = np.stack([geometric_phase(conn, n) for n in range(frames.dim)], axis=1)
-    return _transform_frames(frames, phases, np.einsum("knn->kn", conn.values).real)
+    diagonal = np.einsum("knn->kn", conn.values).real
+    return _transform_frames(frames, accumulate_trapezoid(diagonal, conn.grid.dt), diagonal)
 
 
 # Per-level gauge phase: (alpha(t), d alpha/dt (t)).
@@ -146,9 +146,9 @@ def gauge_transform_check(
     come back multiplied by e^{i alpha_n(0)} only, and every holonomy must be
     unchanged. Returns the largest of each deviation over the levels.
     """
-    frames = build_frames(spec, grid)
-    if len(phase_functions) != frames.dim:
+    if len(phase_functions) != spec.dim:
         raise ValueError("one (alpha, alpha_dot) pair per level is required")
+    frames = build_frames(spec, grid)
     conn = connection(frames)
     eff = build_effective(frames, conn)
 
@@ -193,8 +193,8 @@ def ms_inconsistency_probe(
 ) -> ChainProbeReport:
     """Evaluate the chain L(t) = v_n(0)^dag U(t) [e^{+i int E_n} v_n(0)] exactly.
 
-    |L(t)| drifts from 1 precisely when the residual
-    R(t) = ||v_n(0) - v_n(t) e^{i int A_nn}|| grows, which is what defeats
+    |L(t)| drifts from 1 precisely when the residual R(t) = ||v_n(0) - v~_n(t)|| grows,
+    v~_n = v_n e^{i int A_nn} being level n of parallel_transport. That defeats
     the borrowed identification of the reversed dynamics with a pure phase.
     """
     _require_level(level, spec.dim)
@@ -206,7 +206,6 @@ def ms_inconsistency_probe(
     v0 = frames.vectors[0, :, level]
     chain = np.exp(1j * phase_e) * np.einsum("i,ki->k", v0.conj(), result.states[0])
 
-    phase_a = geometric_phase(conn, level)
-    rephased = frames.vectors[:, :, level] * np.exp(1j * phase_a)[:, None]
+    rephased = parallel_transport(frames, conn).vectors[:, :, level]
     residual = np.linalg.norm(rephased - v0[None, :], axis=1)
     return ChainProbeReport(chain=chain, residual=residual)

@@ -82,6 +82,14 @@ def test_validate_rejects_unknown_keys():
             "ratio_max must exceed ratio_min",
         ),
         ("criteria", {"sweep": {}}, "sweep block is only valid for the sweep command"),
+        (
+            "composition-check",
+            {"command": "composition-check", "sweep": {}},
+            [
+                "sweep block is only valid for the sweep command",
+                "composition-check requires the ms_second model",
+            ],
+        ),
         ("criteria", {"energy_offset": "1"}, "energy_offset must be a number"),
         ("criteria", {"output": 3}, "output must be a path string"),
         (
@@ -113,12 +121,14 @@ def test_validate_rejects_unknown_keys():
         ),
     ],
     ids=[
-        "command", "sweep-model", "ratio-min", "ratio-max", "sweep-block", "offset", "output",
+        "command", "sweep-model", "ratio-min", "ratio-max", "sweep-block",
+        "sweep-block-then-composition-model", "offset", "output",
         "points", "seed", "rotating-foreign-key", "ms-foreign-key", "ms-n",
     ],
 )
 def test_validate_message(command, overrides, message):
-    assert validate(rotating_config(**overrides), command=command) == [message]
+    expected = message if isinstance(message, list) else [message]
+    assert validate(rotating_config(**overrides), command=command) == expected
 
 
 def test_validate_command_mismatch():
@@ -127,7 +137,7 @@ def test_validate_command_mismatch():
 
 
 def test_validate_never_raises_on_garbage():
-    assert validate("not a dict") == ["config must be a JSON object"]
+    assert validate("not a dict", command="criteria") == ["config must be a JSON object"]
     assert validate({"model": 7, "grid": []}, command="criteria")
     assert validate({"model": {"model": "rotating", "mu_B": "x", "theta": None}}, command="criteria")
     huge_n = {"model": "ms_second", "omega0": 1.0, "tau": 1.0, "n": 10**400}

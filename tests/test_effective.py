@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adiabatica import (
+    AdiabaticaError,
     GridMismatchError,
     RotatingModelParams,
     TimeGrid,
@@ -267,3 +268,21 @@ def test_report_is_frozen():
     report = criteria(build_effective(frames, connection(frames)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.r_naive = 0.0
+
+
+def test_trapezoid_of_columns_equals_one_call_per_column(rng):
+    diagonal = np.einsum("knn->kn", rng.normal(size=(65, 3, 3)))  # a strided view, as in transport
+    for values in (rng.normal(size=(257, 5)), diagonal):
+        columns = accumulate_trapezoid(values, 0.37)
+        assert columns.shape == values.shape
+        for n in range(values.shape[1]):
+            assert np.array_equal(columns[:, n], accumulate_trapezoid(values[:, n], 0.37))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+def test_trapezoid_raises_when_one_column_is_not_finite(bad):
+    values = np.ones((33, 4))
+    values[20, 2] = bad  # 1e308 overflows the sum, not the sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AdiabaticaError, match="accumulated phase is not finite"):
+            accumulate_trapezoid(values, 2.0)

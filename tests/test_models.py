@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,30 @@ def test_candidate_fixed_direction_composes():
 
     triples = [(0.0, 0.3, 0.6), (0.1, 0.25, 0.77), (0.0, 0.5, 1.0)]
     assert composition_check(evolution, triples) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [1.0, 0.0]],
+    ids=["zero", "nan", "inf", "two-vector"],
+)
+def test_candidate_rejects_a_fixed_direction_that_is_not_a_finite_nonzero_3_vector(direction):
+    params = MSSecondModelParams(omega_0=4 * np.pi, tau=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match=re.escape("finite, nonzero vector of shape (3,)")):
+            ms_candidate_evolution(params, 0.6, 0.0, fixed_direction=np.array(direction))
+
+
+def test_candidate_fixed_direction_of_any_finite_length_is_normalized():
+    params = MSSecondModelParams(omega_0=4 * np.pi, tau=1.0)
+    direction = np.array([3.0, 0.0, 4.0])
+    unit = ms_candidate_evolution(params, 0.6, 0.0, fixed_direction=direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the norm neither overflows nor underflows
+        for scale in (2.0**-1073, 2.0**-600, 2.0**600, 2.0**1020):  # subnormal to near the max
+            scaled = ms_candidate_evolution(params, 0.6, 0.0, fixed_direction=direction * scale)
+            assert np.array_equal(scaled, unit), scale
 
 
 def test_candidate_violates_composition():

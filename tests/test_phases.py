@@ -196,6 +196,17 @@ def test_every_per_level_entry_rejects_a_level_outside_the_range(entry, level):
         level_entries()[entry](level)
 
 
+def test_gauge_check_rejects_a_wrong_pair_count_before_sampling():
+    def evaluate(t):
+        raise AssertionError("evaluate called")
+
+    spec = HamiltonianSpec(dim=2, evaluate=evaluate)
+    zero = (lambda t: 0.0, lambda t: 0.0)
+    for pairs in ([zero], [zero] * 3):
+        with pytest.raises(ValueError, match=r"one \(alpha, alpha_dot\) pair per level"):
+            gauge_transform_check(spec, TimeGrid(0.0, 1.0, 16), pairs)
+
+
 def test_gauge_check_zero_phases_is_exact():
     params, spec, grid, _, _ = rotating_setup(omega=0.5, steps=512)
     zero = (lambda t: 0.0, lambda t: 0.0)
@@ -347,3 +358,26 @@ def test_probe_near_axial_cone_chain_stays_unit():
     assert report.residual[-1] <= 1e-5
     assert abs(abs(report.chain[-1]) - 1.0) <= 1e-4
     assert "exp(+i int E_n dt)" in report.phase_convention
+
+
+def link_product(vectors: np.ndarray) -> complex:
+    """prod_k <v_{k+1}|v_k>/|.|, closed by <v_0|v_K>/|.|: a gauge-invariant discrete holonomy
+    that uses no derivative (Fukui, Hatsugai & Suzuki 2005)."""
+    links = np.append(np.einsum("ki,ki->k", vectors[1:].conj(), vectors[:-1]),
+                      np.vdot(vectors[0], vectors[-1]))
+    return complex(np.prod(links / np.abs(links)))
+
+
+def test_holonomy_converges_to_the_link_product_at_second_order():
+    gaps = []
+    for steps in (16, 64, 256, 1024):
+        _, _, _, frames, conn = rotating_setup(omega=0.5, steps=steps, theta=1.0)
+        for n in range(2):
+            links = link_product(frames.vectors[:, :, n])
+            reversed_links = link_product(frames.vectors[::-1, :, n])
+            assert reversed_links == pytest.approx(np.conj(links), abs=1e-14)
+            if n == 0:
+                gaps.append(abs(links - holonomy(frames, conn, n).value))
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])  # 4x the steps each time: 16 at O(dt^2)
+    assert np.all(np.abs(ratios - 16) <= 0.2 * 16), ratios
+    assert gaps[-1] < 1e-5

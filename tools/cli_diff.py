@@ -8,9 +8,11 @@ bench/workloads.py at seeds 81 and 82, each in CSV and in JSON: 48 runs of
 `python -m adiabatica.cli` per tree. The library analyses are bench/run.py's
 `analyse` on workloads.lib_systems at the same seeds and default sizes: 6 per
 tree, run in one subprocess (`python3 tools/cli_diff.py --analyses` with the
-tree on PYTHONPATH), which prints a sha256 digest of every array they return
-and of the two maxima of `gauge_transform_check` on each system, under fixed
-rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n).
+tree on PYTHONPATH), which prints a sha256 digest of every array they return,
+of the two maxima of `gauge_transform_check` on each system, under fixed
+rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the
+system's frames (vectors, and derivatives when present), and of
+`ms_inconsistency_probe` at level 0 (chain and residual).
 Prints the runs whose exit code, stdout or stderr differ, the analyses whose
 arrays differ, and both counts; exits 1 when any differ.
 """
@@ -58,6 +60,9 @@ def analyses() -> dict:
             analysis = bench_run.analyse(ad, system)
             pairs = [rephasing(n) for n in range(system.spec.dim)]
             gauge = ad.gauge_transform_check(system.spec, system.grid, pairs)
+            frames = ad.build_frames(system.spec, system.grid)
+            transported = ad.parallel_transport(frames, ad.connection(frames))
+            probe = ad.ms_inconsistency_probe(system.spec, system.grid, 0)
             report, result = analysis.report, analysis.result
             witnesses = report.witnesses.values()
             arrays = {
@@ -71,7 +76,12 @@ def analyses() -> dict:
                 "holonomies": [h.value for h in analysis.holonomies],
                 "coefficient route": analysis.coefficients,
                 "gauge check": [gauge.max_state_deviation, gauge.max_holonomy_deviation],
+                "transported vectors": transported.vectors,
+                "probe chain": probe.chain,
+                "probe residual": probe.residual,
             }
+            if transported.vector_derivatives is not None:
+                arrays["transported derivatives"] = transported.vector_derivatives
             out[f"seed {seed} {system.name}"] = {k: digest(v) for k, v in arrays.items()}
     return out
 
