@@ -5,8 +5,8 @@ Output is deterministic: fixed field order and floats rendered with 17
 significant digits so doubles round-trip losslessly. Exit codes: 0 success,
 2 config validation failure or an output that cannot be written, 3 numerical
 failure (non-finite or non-Hermitian input, a non-finite or non-orthonormal
-analytic frame, a propagator or accumulated phase that overflows, an eigenvalue
-crossing, or a grid too coarse to follow the eigenvectors).
+analytic frame, a propagator or phase that overflows, an eigenvalue crossing,
+or a grid too coarse to follow the eigenvectors).
 """
 
 from __future__ import annotations
@@ -267,23 +267,17 @@ def run_simulate(config: dict):
     result = propagate(spec, grid, list(levels), frames=frames)
     header, columns, entries = ["t"], [grid.times], []
     for n in levels:
-        psi = result.states[n]
-        prob = np.abs(result.coefficients[n]) ** 2
-        dyn = accumulate_trapezoid(frames.energies[:, n], grid.dt)
-        geo = geometric_phase(conn, n)
+        arrays = {  # the JSON entry's keys, in the order of the CSV column groups
+            "psi_re": result.states[n].real,
+            "psi_im": result.states[n].imag,
+            "probabilities": np.abs(result.coefficients[n]) ** 2,
+            "phase_dynamical": accumulate_trapezoid(frames.energies[:, n], grid.dt),
+            "phase_geometric": geometric_phase(conn, n),
+        }
         header += [f"psi{n}_re_{i}" for i in levels] + [f"psi{n}_im_{i}" for i in levels]
         header += [f"prob{n}_{m}" for m in levels] + [f"phase_dyn_{n}", f"phase_geo_{n}"]
-        columns += [psi.real, psi.imag, prob, dyn, geo]
-        entries.append(
-            {
-                "level": n,
-                "psi_re": psi.real,
-                "psi_im": psi.imag,
-                "probabilities": prob,
-                "phase_dynamical": dyn,
-                "phase_geometric": geo,
-            }
-        )
+        columns += arrays.values()
+        entries.append({"level": n, **arrays})
     payload = {"command": "simulate", "times": grid.times, "levels": entries}
     return payload, header, np.column_stack(columns)
 

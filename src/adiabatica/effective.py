@@ -100,8 +100,11 @@ def criteria(
     |M_n'm'(t)| = |A_n'm'(t)|; each denominator is minimized over grid times and levels.
     energy_offset shifts only the r_level denominator, honoring the free
     choice of energy origin. Each witness is the first (time, levels) within a
-    relative WITNESS_RTOL of its extreme.
+    relative WITNESS_RTOL of its extreme. ValueError, before any arithmetic,
+    unless 0 < epsilon < inf and energy_offset is finite.
     """
+    if not (0 < epsilon < np.inf and np.isfinite(energy_offset)):
+        raise ValueError("epsilon must lie in (0, inf) and energy_offset must be finite")
     n = eff.frames.dim
     if n < 2:
         raise ValueError("criteria needs at least two levels")

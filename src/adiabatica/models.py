@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import AdiabaticaError
 from .numerics import dagger, matmul
 from .propagation import stepping_propagators
 from .spectral import HamiltonianSpec, TimeGrid, _is_integer, _require_level
@@ -148,10 +149,13 @@ def rotating_geometric_phase(params: RotatingModelParams, level: int = 0) -> flo
 
 
 def rotating_dynamical_phase(params: RotatingModelParams, level: int = 0) -> float:
-    """Dynamical part of the exact phase accumulated over one drive period."""
+    """Dynamical part of the exact phase over one drive period; AdiabaticaError unless finite."""
     _require_level(level, 2)
     sign = 1.0 if level == 0 else -1.0
-    return -sign * params.mu_B * math.cos(mixing_angle(params)) * params.period
+    phase = -sign * params.mu_B * math.cos(mixing_angle(params)) * params.period
+    if not math.isfinite(phase):
+        raise AdiabaticaError(f"dynamical phase over one period is not finite: {phase}")
+    return phase
 
 
 def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
@@ -189,8 +193,8 @@ def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
 class MSSecondModelParams:
     """Two-level model with drive 2*pi/tau and fast internal frequency omega_0.
 
-    The published regime ties them as omega_0 = 2 n omega; pass regime_n, an
-    integer and not a bool, to enforce that relation.
+    The published regime ties the two as omega_0 = 2 n omega; pass regime_n, an
+    integer and not a bool, to enforce it. Both must be positive and finite.
     """
 
     omega_0: float
@@ -198,10 +202,10 @@ class MSSecondModelParams:
     regime_n: Optional[int] = None
 
     def __post_init__(self):
-        if not self.omega_0 > 0:
-            raise ValueError("omega_0 must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.omega_0 < math.inf:
+            raise ValueError("omega_0 must be positive and finite")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.regime_n is not None:
             n = self.regime_n
             if not _is_integer(n):

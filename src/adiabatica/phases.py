@@ -141,28 +141,25 @@ def gauge_transform_check(
 ) -> GaugeCheckReport:
     """Verify the hidden local symmetry under v_n -> e^{i alpha_n(t)} v_n.
 
-    Amplitudes are recomputed with the transformed frames (connection and
-    effective Hamiltonian transform accordingly); the physical amplitude must
-    come back multiplied by e^{i alpha_n(0)} only, and every holonomy must be
-    unchanged. Returns the largest of each deviation over the levels.
+    The model's frames and the rephased ones take the same steps: connection,
+    M, coefficient propagators, states. Each amplitude must come back times
+    e^{i alpha_n(0)} only, and every holonomy unchanged. Returns the largest of
+    each deviation over the levels; ValueError unless one pair per level.
     """
     if len(phase_functions) != spec.dim:
         raise ValueError("one (alpha, alpha_dot) pair per level is required")
-    frames = build_frames(spec, grid)
-    conn = connection(frames)
-    eff = build_effective(frames, conn)
 
+    def states(frames: FrameTrajectory) -> tuple[ConnectionMatrix, np.ndarray]:
+        """(A, psi) in one gauge: column n of psi[k] is the state started in level n."""
+        conn = connection(frames)
+        return conn, matmul(frames.vectors, _coefficient_propagators(build_effective(frames, conn)))
+
+    frames = build_frames(spec, grid)
     times = grid.times
     alphas = np.array([[a(t) for a, _ in phase_functions] for t in times])
     alpha_dots = np.array([[da(t) for _, da in phase_functions] for t in times])
     tframes = _transform_frames(frames, alphas, alpha_dots)
-    tconn = connection(tframes)
-    teff = build_effective(tframes, tconn)
-
-    # Column n of psi[k] is the state started in level n, rebuilt from the
-    # coefficient propagator of each gauge (one accumulation per gauge).
-    psi = matmul(frames.vectors, _coefficient_propagators(eff))
-    psi_t = matmul(tframes.vectors, _coefficient_propagators(teff))
+    (conn, psi), (tconn, psi_t) = states(frames), states(tframes)
     rays = np.exp(1j * alphas[0])
     state_dev = np.max(np.linalg.norm(psi_t - rays * psi, axis=1))
     with warnings.catch_warnings():

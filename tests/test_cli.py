@@ -339,6 +339,26 @@ def test_exit_code_2_on_sweep_drive_overflow(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "mu_B, ratio_min, fmt",
+    # omega = 1e-310 and 1e-300: the period's phase mu_B 2 pi / omega overflows
+    [(1e-300, 1e-10, "csv"), (1e10, 1e-310, "json")],
+)
+def test_exit_code_3_on_sweep_dynamical_phase_overflow(tmp_path, mu_B, ratio_min, fmt):
+    config = {
+        "command": "sweep",
+        "model": {"model": "rotating", "mu_B": mu_B, "theta": 1.0},
+        "sweep": {"ratio_min": ratio_min, "ratio_max": 1.0, "points": 3},
+        "format": fmt,
+    }
+    proc = run_cli(tmp_path, "sweep", config)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "adiabatica: numerical error: dynamical phase over one period is not finite: -inf\n"
+    )
+
+
 def test_exit_code_2_on_grid_finer_than_its_float_spacing(tmp_path):
     # dt = 1.5e-5 is below ulp(1e12) = 1.2e-4: 65 rows would hold only 9 distinct times.
     config = rotating_config(command="simulate")

@@ -32,6 +32,19 @@ def static_pipeline(H, grid):
     return frames, conn, build_effective(frames, conn)
 
 
+@pytest.mark.parametrize(
+    "epsilon, energy_offset",
+    [(np.nan, 0.0), (-1.0, 0.0), (0.0, 0.0), (np.inf, 0.0)]
+    + [(0.1, np.nan), (0.1, np.inf), (0.1, -np.inf)],
+)
+def test_criteria_rejects_epsilon_outside_0_inf_and_non_finite_offset(epsilon, energy_offset):
+    # RuntimeWarnings are errors in this suite: the check comes before any arithmetic
+    _, _, eff = static_pipeline(SIGMA_Z + 0.3 * SIGMA_X, TimeGrid(0.0, 3.0, 32))
+    message = r"epsilon must lie in \(0, inf\) and energy_offset must be finite"
+    with pytest.raises(ValueError, match=message):
+        criteria(eff, epsilon=epsilon, energy_offset=energy_offset)
+
+
 def test_static_effective_is_constant_diagonal():
     grid = TimeGrid(0.0, 3.0, 32)
     H = SIGMA_Z + 0.3 * SIGMA_X

@@ -201,6 +201,26 @@ def test_barred_evaluate_rejects_off_table_times():
         barred.evaluate(grid.dt * 0.123)
 
 
+@pytest.mark.parametrize(
+    "omega_0, tau", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)]
+)
+def test_ms_params_require_finite_values(omega_0, tau):
+    # tau = inf would make omega = 0, an undriven model; omega_0 = inf a NaN field
+    name = "omega_0" if omega_0 != 1.0 else "tau"
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        MSSecondModelParams(omega_0=omega_0, tau=tau)
+
+
+@pytest.mark.parametrize("mu_B, omega", [(1e-300, 1e-310), (1e10, 1e-300)])
+def test_dynamical_phase_raises_when_it_overflows(mu_B, omega):
+    from adiabatica import AdiabaticaError, rotating_dynamical_phase
+
+    params = RotatingModelParams(mu_B=mu_B, theta=1.0, omega=omega)  # period 6e310 or 6e300
+    for level in (0, 1):
+        with pytest.raises(AdiabaticaError, match="dynamical phase over one period is not finite"):
+            rotating_dynamical_phase(params, level)
+
+
 def test_ms_params_validation():
     with pytest.raises(ValueError):
         MSSecondModelParams(omega_0=-1.0, tau=1.0)

@@ -6,9 +6,11 @@ Each tree is a directory holding the adiabatica package (a checkout's src/).
 The CLI configs are the cli_oneshot and cli_trajectory mixes of
 bench/workloads.py at seeds 81 and 82, each in CSV and in JSON: 48 runs of
 `python -m adiabatica.cli` per tree. The library analyses are bench/run.py's
-`analyse` on workloads.lib_systems at the same seeds and default sizes: 6 per
-tree, run in one subprocess (`python3 tools/cli_diff.py --analyses` with the
-tree on PYTHONPATH), which prints a sha256 digest of every array they return,
+`analyse` on workloads.lib_systems at the same seeds and default sizes, and
+on three systems framed by their models' analytic frames (the rotating model
+as built, the barred model over it and ms_second): 9 per tree, run in one
+subprocess (`python3 tools/cli_diff.py --analyses` with the tree on
+PYTHONPATH), which prints a sha256 digest of every array they return,
 of the two maxima of `gauge_transform_check` on each system, under fixed
 rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the
 system's frames (vectors, and derivatives when present), and of
@@ -42,8 +44,22 @@ def run(src: str, argv: list[str]) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def analytic_systems(ad) -> list:
+    """Systems that keep their models' analytic frames, so the derivative branches of
+    `connection`, `parallel_transport` and the gauge check are digested too."""
+    params = ad.RotatingModelParams(mu_B=1.0, theta=workloads.THETA_REF, omega=0.5)
+    rotating, grid = ad.rotating_model(params), ad.TimeGrid(0.0, params.period, 2048)
+    ms_second = ad.ms_second_model(ad.MSSecondModelParams.from_regime(n=5, tau=1.0))
+    return [
+        workloads.LibSystem("rotating-analytic", rotating, grid, cyclic=True),
+        workloads.LibSystem("barred-analytic", ad.barred_model(rotating, grid), grid, cyclic=False),
+        workloads.LibSystem("ms-second", ms_second, ad.TimeGrid(0.0, 1.0, 4096), cyclic=True),
+    ]
+
+
 def analyses() -> dict:
-    """{analysis: {array: sha256}} for the lib_systems of every seed, from the imported tree."""
+    """{analysis: {array: sha256}} for the lib_systems of every seed and the analytic
+    systems, from the imported tree."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
 
@@ -54,35 +70,36 @@ def analyses() -> dict:
     def rephasing(n: int) -> tuple:
         return (lambda t: n / 2 + 0.3 * np.sin(t + n), lambda t: 0.3 * np.cos(t + n))
 
+    systems = [(f"seed {seed}", s) for seed in SEEDS for s in workloads.lib_systems(seed, ad)]
+    systems += [("analytic", s) for s in analytic_systems(ad)]
     out = {}
-    for seed in SEEDS:
-        for system in workloads.lib_systems(seed, ad):
-            analysis = bench_run.analyse(ad, system)
-            pairs = [rephasing(n) for n in range(system.spec.dim)]
-            gauge = ad.gauge_transform_check(system.spec, system.grid, pairs)
-            frames = ad.build_frames(system.spec, system.grid)
-            transported = ad.parallel_transport(frames, ad.connection(frames))
-            probe = ad.ms_inconsistency_probe(system.spec, system.grid, 0)
-            report, result = analysis.report, analysis.result
-            witnesses = report.witnesses.values()
-            arrays = {
-                "criteria ratios": [report.r_naive, report.r_gap, report.r_level],
-                "witness times": [w["time"] for w in witnesses],
-                "witness levels": [n for w in witnesses for n in w["levels"]],
-                "propagators": result.propagators,
-                "states": result.states,
-                "coefficients": result.coefficients,
-                "phase splits": [[s.dynamical, s.geometric] for s in analysis.splits],
-                "holonomies": [h.value for h in analysis.holonomies],
-                "coefficient route": analysis.coefficients,
-                "gauge check": [gauge.max_state_deviation, gauge.max_holonomy_deviation],
-                "transported vectors": transported.vectors,
-                "probe chain": probe.chain,
-                "probe residual": probe.residual,
-            }
-            if transported.vector_derivatives is not None:
-                arrays["transported derivatives"] = transported.vector_derivatives
-            out[f"seed {seed} {system.name}"] = {k: digest(v) for k, v in arrays.items()}
+    for label, system in systems:
+        analysis = bench_run.analyse(ad, system)
+        pairs = [rephasing(n) for n in range(system.spec.dim)]
+        gauge = ad.gauge_transform_check(system.spec, system.grid, pairs)
+        frames = ad.build_frames(system.spec, system.grid)
+        transported = ad.parallel_transport(frames, ad.connection(frames))
+        probe = ad.ms_inconsistency_probe(system.spec, system.grid, 0)
+        report, result = analysis.report, analysis.result
+        witnesses = report.witnesses.values()
+        arrays = {
+            "criteria ratios": [report.r_naive, report.r_gap, report.r_level],
+            "witness times": [w["time"] for w in witnesses],
+            "witness levels": [n for w in witnesses for n in w["levels"]],
+            "propagators": result.propagators,
+            "states": result.states,
+            "coefficients": result.coefficients,
+            "phase splits": [[s.dynamical, s.geometric] for s in analysis.splits],
+            "holonomies": [h.value for h in analysis.holonomies],
+            "coefficient route": analysis.coefficients,
+            "gauge check": [gauge.max_state_deviation, gauge.max_holonomy_deviation],
+            "transported vectors": transported.vectors,
+            "probe chain": probe.chain,
+            "probe residual": probe.residual,
+        }
+        if transported.vector_derivatives is not None:
+            arrays["transported derivatives"] = transported.vector_derivatives
+        out[f"{label} {system.name}"] = {k: digest(v) for k, v in arrays.items()}
     return out
 
 
