@@ -194,7 +194,8 @@ class MSSecondModelParams:
     """Two-level model with drive 2*pi/tau and fast internal frequency omega_0.
 
     The published regime ties the two as omega_0 = 2 n omega; pass regime_n, an
-    integer and not a bool, to enforce it. Both must be positive and finite.
+    integer and not a bool, to enforce it. Both must be positive and finite, and so
+    must omega: a tau near the float floor makes 2*pi/tau overflow.
     """
 
     omega_0: float
@@ -206,6 +207,8 @@ class MSSecondModelParams:
             raise ValueError("omega_0 must be positive and finite")
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"tau = {self.tau!r} is too small: omega = 2*pi/tau overflows")
         if self.regime_n is not None:
             n = self.regime_n
             if not _is_integer(n):

@@ -6,9 +6,11 @@ Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both take
 the Hermitian part (H + H^dagger)/2 and are unitary to rounding, not by
 construction; require_unitary bounds the drift of an accumulated stack per step.
 Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
-The Taylor step and the two stack checks stream each (K, N, N) stack through
-consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's working set
-stays in cache; every matrix gets the same arithmetic in the same order, so
+The Taylor step, the step overflow guard, dagger_matmul and the two stack checks
+stream each (K, N, N) stack through consecutive blocks of about BLOCK_BYTES
+(1 MiB), so a block's working set stays in cache and no kernel holds a stack
+beside its input and output, only a few blocks; the step kernel may write its
+output over its input. Every matrix gets the same arithmetic in the same order, so
 the results do not depend on the block size, bit for bit. eigh_batch shares
 blocks of about BLOCK_BYTES / 8 among as many threads as the process may use
 CPUs, at most EIGH_MAX_THREADS, so pinning the process to one CPU (taskset)
@@ -66,6 +68,14 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
     for j in range(1, n):
         out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def dagger_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dagger(v) @ x over two (K, N, .) stacks, bit for bit, one block of v conjugated at a time."""
+    out = np.empty((len(v), v.shape[-1], x.shape[-1]), dtype=np.result_type(v, x))
+    for b in _blocks(v):
+        matmul(dagger(v[b]), x[b], out=out[b])
     return out
 
 
@@ -152,8 +162,8 @@ def _taylor_degree(x: float) -> int:
     return d
 
 
-def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i s H) by a truncated Taylor series, scaled and squared.
+def _taylor_step(hams: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i s H) by a truncated Taylor series, scaled and squared, into out (may be hams).
 
     Only the Hermitian part (H + H^dagger)/2 is exponentiated, the matrix the sampling
     check accepted, so a residue within HERMITICITY_RTOL cannot grow with |s|.
@@ -161,8 +171,8 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
     A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1.
     Horner's rule P <- A P + I/j! at one degree _taylor_degree(x / 2^q), then q squarings
     P <- P P (each doubles the rounding), run through matmul into two buffers.
-    Two passes over the blocks: the first forms A in the output stack and x, which fixes
-    q and d for the whole stack; the second exponentiates each block of A in place.
+    Two passes over the blocks: the first forms A in out and x, which fixes q and d for
+    the whole stack; the second exponentiates each block of A in place.
     """
     n = hams.shape[-1]
     diag = (slice(None), *np.diag_indices(n))
@@ -170,12 +180,12 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
     # gathered (K, N) array in an order that differs between K = 1 and K > 1, so per block
     # a one-matrix tail would change bits. Divided first: no overflow near the float range.
     m = (2 * hams[diag].real / (2 * n)).sum(axis=1)
-    a = np.empty(hams.shape, dtype=complex)
-    blocks, x = _blocks(a), 0.0
+    blocks, x = _blocks(out), 0.0
     for b in blocks:
-        blk = a[b]
-        np.conjugate(hams[b].swapaxes(-1, -2), out=blk, dtype=complex)
-        blk += hams[b]  # 2 (H + H^dagger)/2; the overflow guard bounds its entries
+        blk = out[b]
+        # 2 (H + H^dagger)/2 from a block-sized copy of H^dagger, so blk may be hams[b];
+        # the overflow guard bounds its entries
+        np.add(hams[b], dagger(hams[b]), out=blk)
         blk[diag] -= 2 * m[b, None]
         blk *= -0.5j * s  # halving is exact: the bits of a Hermitian H are kept
         x = max(x, float(np.abs(blk).sum(axis=1).max(initial=0.0)))
@@ -184,9 +194,9 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
         x, q = x / 2, q + 1
     d = _taylor_degree(x)
     phase = np.exp(-1j * s * m)
-    p_full, buffer_full = np.empty_like(a[blocks[0]]), np.empty_like(a[blocks[0]])
+    p_full, buffer_full = np.empty_like(out[blocks[0]]), np.empty_like(out[blocks[0]])
     for b in blocks:
-        blk = a[b]
+        blk = out[b]
         p, buffer = p_full[: len(blk)], buffer_full[: len(blk)]
         if q:
             blk *= 2.0**-q
@@ -201,10 +211,12 @@ def _taylor_step(hams: np.ndarray, s: float) -> np.ndarray:
             matmul(p, p, out=buffer)
             p, buffer = buffer, p
         np.multiply(p, phase[b, None, None], out=blk)
-    return a
+    return out
 
 
-def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
+def exp_antihermitian_batch(
+    hams: np.ndarray, s: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """exp(-i * s * (H + H^dagger)/2) for each H of a (K, N, N) stack: its Hermitian part.
 
     At N = 2, that part is m I + r . sigma, read from the real diagonal and the
@@ -214,15 +226,17 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
     Both routes are unitary to rounding. Before any arithmetic on H, AdiabaticaError
     is raised unless |s| N ||H||_max, a bound on every phase s w, is finite, and off
     N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach 2 ||H||_max;
-    so a non-finite stack is rejected too.
+    so a non-finite stack is rejected too. The steps go into out, a new complex stack
+    if None; out may be hams itself, and the results are the same bit for bit.
     """
     n, s_abs = hams.shape[-1], abs(float(s))
-    scale = max_abs(hams)
+    scale = float(_max_over_blocks(hams, max_abs))
     bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
     if not math.isfinite(bound):
         raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")
+    out = np.empty(hams.shape, dtype=complex) if out is None else out
     if n != 2:
-        return _taylor_step(hams, s)
+        return _taylor_step(hams, s, out)
     h00, h11 = hams[:, 0, 0].real, hams[:, 1, 1].real
     h10 = 0.5 * hams[:, 1, 0] + 0.5 * hams[:, 0, 1].conj()  # the Hermitian part's H_10
     m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
@@ -231,7 +245,6 @@ def exp_antihermitian_batch(hams: np.ndarray, s: float) -> np.ndarray:
     sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
     phase = np.exp(-1j * s * m)
     cos, off = phase * np.cos(s * r), -1j * phase * sinc
-    out = np.empty(hams.shape, dtype=complex)
     out[:, 0, 0], out[:, 1, 1] = cos + off * z, cos - off * z
     out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
     return out

@@ -13,6 +13,11 @@ kernel's overflow guard still rejects a non-finite stack. Steps are unitary
 to rounding, so every accumulated stack, direct or in coefficient space, is
 checked for drift (_midpoint_propagators). Coarse steps are scaled and squared;
 far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
+Each route writes its K steps into the (K+1, N, N) stack it returns and scans
+them there. The coefficient route forms its sums M_k + M_{k+1} in that stack
+too, so it holds one stack beside M; the direct route holds two, its sampled
+midpoints of H and the output. Every other temporary is a few blocks of
+numerics.BLOCK_BYTES or smaller.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .numerics import dagger, exp_antihermitian_batch, matmul, max_abs, require_unitary
+from .numerics import (
+    dagger, dagger_matmul, exp_antihermitian_batch, matmul, max_abs, require_unitary
+)
 from .spectral import (
     FrameTrajectory,
     HamiltonianSpec,
@@ -46,41 +53,47 @@ __all__ = [
 ]
 
 
-def _accumulate(steps: np.ndarray) -> np.ndarray:
-    """Prefix products out[k] = steps[k-1] @ ... @ steps[0], out[0] = I; shape (K+1, N, N).
+def _accumulate(out: np.ndarray) -> np.ndarray:
+    """Prefix products in place: out[1:] holds the K steps of a (K+1, N, N) stack, and
+    on return out[k] = step[k-1] @ ... @ step[0], out[0] = I.
 
     Blocked scan: the K steps form consecutive blocks of b = ceil(sqrt(K)) steps
     (the last block may be shorter). First the products within every block run
     side by side, one batched product per position in the block, so out[k] holds
-    the product of its block's steps up to k. Then one pass over the blocks in
-    order multiplies each block on the right by the finished product that ends
-    the block before it, in one batched product per block. That is about 2*sqrt(K)
-    product calls in place of K, and no (K, N, N) buffer beside out. The factors
-    are grouped per block rather than strictly left to right, so the result
-    matches a sequential loop to rounding, not bit for bit.
+    the product of its block's steps up to k; each position's K/b steps are copied
+    out before they are overwritten. Then one pass over the blocks in order
+    multiplies each block on the right by the finished product that ends the block
+    before it, in one batched product per block. That is about 2*sqrt(K) product
+    calls in place of K, and no (K, N, N) buffer beside out. The factors are grouped
+    per block rather than strictly left to right, so the result matches a
+    sequential loop to rounding, not bit for bit.
     """
-    k, n = steps.shape[:2]
+    k = len(out) - 1
     b = math.isqrt(k - 1) + 1
-    out = np.empty((k + 1, n, n), dtype=complex)
-    out[0] = np.eye(n)
-    out[1::b] = steps[::b]
+    out[0] = np.eye(out.shape[-1])
     for j in range(1, b):
-        matmul(steps[j::b], out[j:k:b], out=out[j + 1 :: b])
+        matmul(out[j + 1 :: b].copy(), out[j:k:b], out=out[j + 1 :: b])
     for end in range(b, k, b):
         block = out[end + 1 : end + b + 1]
         block[...] = matmul(block, out[end])
     return out
 
 
-def _midpoint_propagators(mids: np.ndarray, dt: float) -> np.ndarray:
-    """Prefix products of the steps exp(-i dt mids[k]), shape (K+1, N, N).
+def _midpoint_propagators(
+    mids: np.ndarray, dt: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Prefix products of the steps exp(-i dt mids[k]), shape (K+1, N, N), in out.
 
+    out is a new stack if None, and mids may be out[1:]: the steps are written
+    into out[1:] and scanned there, so the route holds no stack beside mids and out.
     Each step exponentiates the Hermitian part of mids[k]. AdiabaticaError when
     max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN (require_unitary).
     """
-    propagators = _accumulate(exp_antihermitian_batch(mids, dt))
-    require_unitary(propagators, "propagator lost unitarity")
-    return propagators
+    out = np.empty((len(mids) + 1, *mids.shape[1:]), dtype=complex) if out is None else out
+    exp_antihermitian_batch(mids, dt, out=out[1:])
+    _accumulate(out)
+    require_unitary(out, "propagator lost unitarity")
+    return out
 
 
 def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
@@ -89,8 +102,11 @@ def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
     Step k is exp(-i (dt/2) (M_k + M_{k+1})), bit for bit the step of the midpoint
     (M_k + M_{k+1})/2, as halving is exact, except where dt < 2 * 2**-1022 makes dt/2
     subnormal; with ||M|| near 1e307 the kernel's overflow guard may read up to 2x higher.
+    The sums are formed in the output stack and exponentiated there.
     """
-    return _midpoint_propagators(eff.values[:-1] + eff.values[1:], eff.frames.grid.dt / 2)
+    out = np.empty(eff.values.shape, dtype=complex)
+    np.add(eff.values[:-1], eff.values[1:], out=out[1:])
+    return _midpoint_propagators(out[1:], eff.frames.grid.dt / 2, out)
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ def propagate(
     # Column s of traj[k] is U[k] psi0_s; of coeffs[k], its overlaps <v_m(t_k)|.>.
     psi0s = np.array(columns, dtype=complex).reshape(len(columns), spec.dim).T
     traj = matmul(propagators, psi0s)
-    coeffs = matmul(dagger(frames.vectors), traj)
+    coeffs = dagger_matmul(frames.vectors, traj)
     states = [traj[:, :, s] for s in range(len(columns))]
     coefficients = [coeffs[:, :, s] for s in range(len(columns))]
     return PropagationResult(propagators, states, coefficients, frames)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdiabaticaError, EigenGapTooSmallError, GridMismatchError
-from .numerics import dagger, eigh_batch, matmul, max_abs, require_hermitian_batch, require_unitary
+from .numerics import dagger_matmul, eigh_batch, max_abs, require_hermitian_batch, require_unitary
 
 __all__ = [
     "ConnectionMatrix",
@@ -239,6 +239,6 @@ def connection(frames: FrameTrajectory) -> ConnectionMatrix:
     else:
         # central differences inside, second-order one-sided stencils at the ends
         dv = np.gradient(frames.vectors, frames.grid.dt, axis=0, edge_order=2)
-    values = matmul(dagger(frames.vectors), dv)
+    values = dagger_matmul(frames.vectors, dv)
     values *= 1j
     return ConnectionMatrix(frames.grid, values)

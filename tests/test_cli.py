@@ -147,6 +147,19 @@ def test_validate_never_raises_on_garbage():
     assert validate(huge_mu, command="criteria") == ["rotating model: mu_B must be positive and finite"]
 
 
+def test_exit_code_2_on_a_tau_whose_omega_overflows(tmp_path, capsys):
+    # tau = 1e-310 passes "positive and finite", but omega = 2 pi / tau is inf
+    config = {
+        "model": {"model": "ms_second", "omega0": 1.0, "tau": 1e-310},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 64},
+    }
+    assert main(["holonomy", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == (
+        "adiabatica: invalid config: ms_second model: "
+        "tau = 1e-310 is too small: omega = 2*pi/tau overflows\n"
+    )
+
+
 def test_validate_reports_unknown_sweep_grid_keys():
     # run_sweep reads no grid, but a grid block given to it is checked like any other block
     model = {"model": "rotating", "mu_B": 1, "theta": 1}

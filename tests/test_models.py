@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -209,6 +210,14 @@ def test_ms_params_require_finite_values(omega_0, tau):
     name = "omega_0" if omega_0 != 1.0 else "tau"
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         MSSecondModelParams(omega_0=omega_0, tau=tau)
+
+
+def test_ms_params_reject_a_tau_whose_omega_overflows():
+    # tau = 1e-310 is positive and finite, but omega = 2 pi / tau = 6.3e310 is not:
+    # evaluate would return inf and NaN entries
+    with pytest.raises(ValueError, match=r"^tau = 1e-310 is too small: omega = 2\*pi/tau overflows$"):
+        MSSecondModelParams(omega_0=1.0, tau=1e-310)
+    assert math.isfinite(MSSecondModelParams(omega_0=1.0, tau=1e-300).omega)
 
 
 @pytest.mark.parametrize("mu_B, omega", [(1e-300, 1e-310), (1e10, 1e-300)])

@@ -189,11 +189,13 @@ def test_scaled_taylor_step_matches_eigh(n, k, log_x, identity_share, offset, se
     assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14 * (1 + x)
 
 
-@pytest.mark.parametrize("n", [1, 3, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
 def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
     # 7 steps in one block, in blocks of one step, and in blocks of 3, 3 and a
     # tail of 1. The last step alone is coarse (x > TAYLOR_MAX_NORM), so every
-    # block must be scaled and squared as often as that one.
+    # block must be scaled and squared as often as that one. At each block size the
+    # steps are also written over their own Hamiltonians (out=hams), as the
+    # coefficient route does; the N = 2 closed form, which takes no blocks, too.
     rng = np.random.default_rng(n)
     y = random_complex(rng, (7, n, n))
     hams = (y + dagger(y)) / 2 + 0.3 * np.eye(n)
@@ -202,10 +204,26 @@ def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
     if n > 1:  # at N = 1, H0 = 0 and no step is coarse
         assert dt * traceless_one_norm(hams[:-1]) <= TAYLOR_MAX_NORM < dt * traceless_one_norm(hams[-1:])
     whole = exp_antihermitian_batch(hams, dt)
-    for per_block in (1, 3):
+    for per_block in (7, 1, 3):
         monkeypatch.setattr(numerics, "BLOCK_BYTES", per_block * 16 * n * n)
         assert len(numerics._blocks(hams)) == -(-7 // per_block)
         assert np.array_equal(exp_antihermitian_batch(hams, dt), whole)
+        in_place = hams.copy()
+        assert exp_antihermitian_batch(in_place, dt, out=in_place) is in_place
+        assert np.array_equal(in_place, whole)
+
+
+@pytest.mark.parametrize("n, cols", [(1, 1), (2, 2), (3, 1), (3, 3), (8, 3), (8, 8), (16, 16)])
+def test_dagger_matmul_is_matmul_of_the_dagger_bit_for_bit(monkeypatch, n, cols):
+    # V^dagger X over 7 matrices in one block, in blocks of one and in blocks of 3, 3, 1,
+    # on both sides of SMALL_PRODUCT_MAX_N and with X narrower than V (state columns)
+    rng = np.random.default_rng(n + cols)
+    v, x = random_complex(rng, (7, n, n)), random_complex(rng, (7, n, cols))
+    want = matmul(dagger(v), x)
+    for per_block in (7, 1, 3):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", per_block * 16 * n * n)
+        assert len(numerics._blocks(v)) == -(-7 // per_block)
+        assert np.array_equal(numerics.dagger_matmul(v, x), want)
 
 
 def test_taylor_degree_is_the_smallest_meeting_the_bound():
@@ -276,7 +294,7 @@ def test_both_step_routes_exponentiate_the_same_hermitian_part_at_n2():
     hams = (x + dagger(x)) / 2 + 1e-6 * (y - dagger(y)) / 2
     for s in (0.05, 0.7, 3.0):
         closed = exp_antihermitian_batch(hams, s)
-        assert max_abs(closed - numerics._taylor_step(hams, s)) <= 1e-13
+        assert max_abs(closed - numerics._taylor_step(hams, s, np.empty_like(hams))) <= 1e-13
         assert max_abs(dagger(closed) @ closed - np.eye(2)) <= 1e-14
 
 

@@ -14,9 +14,12 @@ PYTHONPATH), which prints a sha256 digest of every array they return,
 of the two maxima of `gauge_transform_check` on each system, under fixed
 rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the
 system's frames (vectors, and derivatives when present), and of
-`ms_inconsistency_probe` at level 0 (chain and residual).
+`ms_inconsistency_probe` at level 0 (chain and residual), and the peak bytes
+tracemalloc traced while `analyse` ran.
 Prints the runs whose exit code, stdout or stderr differ, the analyses whose
-arrays differ, and both counts; exits 1 when any differ.
+arrays differ, and both counts; exits 1 when any differ. It also prints each
+analysis's traced peak in both trees ("peak OLD → NEW MiB"), which is never
+counted as a difference.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,15 @@ def run(src: str, argv: list[str]) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def traced(call) -> tuple:
+    """call()'s result and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def analytic_systems(ad) -> list:
     """Systems that keep their models' analytic frames, so the derivative branches of
     `connection`, `parallel_transport` and the gauge check are digested too."""
@@ -58,8 +71,8 @@ def analytic_systems(ad) -> list:
 
 
 def analyses() -> dict:
-    """{analysis: {array: sha256}} for the lib_systems of every seed and the analytic
-    systems, from the imported tree."""
+    """{analysis: {"digests": {array: sha256}, "peak": bytes}} for the lib_systems of
+    every seed and the analytic systems, from the imported tree."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
 
@@ -74,7 +87,7 @@ def analyses() -> dict:
     systems += [("analytic", s) for s in analytic_systems(ad)]
     out = {}
     for label, system in systems:
-        analysis = bench_run.analyse(ad, system)
+        analysis, peak = traced(lambda: bench_run.analyse(ad, system))
         pairs = [rephasing(n) for n in range(system.spec.dim)]
         gauge = ad.gauge_transform_check(system.spec, system.grid, pairs)
         frames = ad.build_frames(system.spec, system.grid)
@@ -99,7 +112,8 @@ def analyses() -> dict:
         }
         if transported.vector_derivatives is not None:
             arrays["transported derivatives"] = transported.vector_derivatives
-        out[f"{label} {system.name}"] = {k: digest(v) for k, v in arrays.items()}
+        digests = {k: digest(v) for k, v in arrays.items()}
+        out[f"{label} {system.name}"] = {"digests": digests, "peak": peak}
     return out
 
 
@@ -134,11 +148,16 @@ def analysis_differences(old_src: str, new_src: str) -> int:
     labels = list(dict.fromkeys([*old, *new]))
     differ = 0
     for label in labels:
-        a, b = old.get(label, {}), new.get(label, {})
+        a, b = (side.get(label, {}).get("digests", {}) for side in (old, new))
         if a != b:
             differ += 1
             parts = [k for k in {**a, **b} if a.get(k) != b.get(k)]
             print(f"differs: {label}: {', '.join(parts)}")
+    for label in labels:  # informational: memory is no output
+        old_mib, new_mib = (
+            f"{side[label]['peak'] / 2**20:.1f}" if label in side else "?" for side in (old, new)
+        )
+        print(f"peak {old_mib} → {new_mib} MiB: {label}")
     print(f"{differ} of {len(labels)} library analyses differ")
     return differ
 
