@@ -68,7 +68,8 @@ class CriteriaReport:
     magnitudes of the effective diagonal shifted by energy_offset (r_level).
     A verdict is True when its ratio is below epsilon. Denominators at or
     below 1e-14 * max|E_n(t)| yield an infinite ratio and a False verdict, so
-    the ratios do not depend on the energy unit.
+    the ratios do not depend on the energy unit. witnesses holds each extreme's time and
+    levels: the numerator's pair, a pair denominator's [i, j] with i < j, or a level [n].
     """
 
     r_naive: float
@@ -80,15 +81,15 @@ class CriteriaReport:
     energy_offset: float
 
 
-def _witness(values: np.ndarray, pick, times: np.ndarray) -> tuple[float, dict]:
-    """values.flat[pick(values)] and the first (k, levels), in row-major order, within
-    WITNESS_RTOL of it, so that a last-bit change does not move a flat extreme's witness."""
+def _witness(values: np.ndarray, pick, times: np.ndarray, levels: list) -> tuple[float, dict]:
+    """values.flat[pick(values)] of a (K, P) array, and the time and levels[p] of the first (k, p),
+    in row-major order, within WITNESS_RTOL of it, so a last-bit change cannot move the witness."""
     extreme_at = int(pick(values))
     extreme = values.flat[extreme_at]
     near = np.abs(values - extreme) <= WITNESS_RTOL * abs(extreme)
     near.flat[extreme_at] = True
-    k, *levels = np.unravel_index(int(np.argmax(near)), values.shape)
-    return float(extreme), {"time": float(times[k]), "levels": [int(n) for n in levels]}
+    k, p = divmod(int(np.argmax(near)), values.shape[1])
+    return float(extreme), {"time": float(times[k]), "levels": list(levels[p])}
 
 
 def criteria(
@@ -96,55 +97,43 @@ def criteria(
 ) -> CriteriaReport:
     """Evaluate the naive and precise adiabaticity criteria for M(t).
 
-    The numerator is max over grid times and level pairs n' != m' of
-    |M_n'm'(t)| = |A_n'm'(t)|; each denominator is minimized over grid times and levels.
-    energy_offset shifts only the r_level denominator, honoring the free
-    choice of energy origin. Each witness is the first (time, levels) within a
-    relative WITNESS_RTOL of its extreme. ValueError, before any arithmetic,
-    unless 0 < epsilon < inf and energy_offset is finite.
+    The numerator is max over grid times and level pairs n' != m' of |M_n'm'(t)| =
+    |A_n'm'(t)|; each denominator is minimized over grid times and level pairs i < j
+    (|E_i - E_j|, |M_ii - M_jj|) or levels (|M_ii + energy_offset|). energy_offset, the free
+    choice of energy origin, shifts only r_level. Each witness is the first (time, levels)
+    within a relative WITNESS_RTOL of its extreme; the pair differences are symmetric to the
+    bit, so that is also the first near pair over all ordered pairs. ValueError, before any
+    arithmetic, unless 0 < epsilon < inf and energy_offset is finite.
     """
     if not (0 < epsilon < np.inf and np.isfinite(energy_offset)):
         raise ValueError("epsilon must lie in (0, inf) and energy_offset must be finite")
     n = eff.frames.dim
     if n < 2:
         raise ValueError("criteria needs at least two levels")
-    times = eff.frames.grid.times
-    E = eff.frames.energies
+    times, E = eff.frames.grid.times, eff.frames.energies
     diag = np.einsum("kii->ki", eff.values)
-    idx = np.arange(n)
 
-    # (K, N, N) arrays over level pairs (i, j), the diagonal i = j masked off
-    offdiag = np.abs(eff.values)
-    offdiag[:, idx, idx] = -np.inf
-    naive = np.abs(E[:, :, None] - E[:, None, :])
-    gap = np.abs(diag[:, :, None] - diag[:, None, :])
-    naive[:, idx, idx] = gap[:, idx, idx] = np.inf
-    level = np.abs(diag + energy_offset)
-
+    offdiag = np.abs(eff.values).reshape(len(times), n * n)  # |M_ij| is not symmetric
+    offdiag[:, :: n + 1] = -np.inf
     witnesses = {}
-    numerator, witnesses["numerator"] = _witness(offdiag, np.argmax, times)
-    naive_den, witnesses["naive_denominator"] = _witness(naive, np.argmin, times)
-    gap_den, witnesses["gap_denominator"] = _witness(gap, np.argmin, times)
-    level_den, witnesses["level_denominator"] = _witness(level, np.argmin, times)
+    numerator, witnesses["numerator"] = _witness(offdiag, np.argmax, times, list(np.ndindex(n, n)))
+    del offdiag  # one ratio's temporaries at a time
 
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    i, j = np.array(pairs).T
     floor = DEGENERATE_RTOL * max_abs(E)
-
-    def ratio(den: float) -> float:
-        return numerator / den if den > floor else float("inf")
-
-    r_naive, r_gap, r_level = ratio(naive_den), ratio(gap_den), ratio(level_den)
-    verdicts = {
-        "naive": bool(r_naive < epsilon),
-        "gap": bool(r_gap < epsilon),
-        "level": bool(r_level < epsilon),
-    }
+    ratios = {}
+    for name, magnitudes, levels in (
+        ("naive", lambda: np.abs(E[:, i] - E[:, j]), pairs),
+        ("gap", lambda: np.abs(diag[:, i] - diag[:, j]), pairs),
+        ("level", lambda: np.abs(diag + energy_offset), list(np.ndindex(n))),
+    ):
+        den, witnesses[f"{name}_denominator"] = _witness(magnitudes(), np.argmin, times, levels)
+        ratios[name] = numerator / den if den > floor else float("inf")
     return CriteriaReport(
-        r_naive=r_naive,
-        r_gap=r_gap,
-        r_level=r_level,
+        **{f"r_{name}": r for name, r in ratios.items()},
         epsilon=epsilon,
         energy_offset=energy_offset,
-        verdicts=verdicts,
+        verdicts={name: bool(r < epsilon) for name, r in ratios.items()},
         witnesses=witnesses,
     )
-

@@ -72,8 +72,9 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 def dagger_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """dagger(v) @ x over two (K, N, .) stacks, bit for bit, one block of v conjugated at a time."""
-    out = np.empty((len(v), v.shape[-1], x.shape[-1]), dtype=np.result_type(v, x))
+    """dagger(v) @ x over two (K, N, .) stacks, bit for bit, one block of v conjugated at a time;
+    complex also for real stacks (real analytic frames), so callers may scale it by 1j in place."""
+    out = np.empty((len(v), v.shape[-1], x.shape[-1]), dtype=np.result_type(v, x, 1j))
     for b in _blocks(v):
         matmul(dagger(v[b]), x[b], out=out[b])
     return out

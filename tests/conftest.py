@@ -1,6 +1,8 @@
-"""Shared fixtures: random smooth Hermitian specs with well-separated levels."""
+"""Shared fixtures: random smooth Hermitian specs with well-separated levels, traced peaks."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,17 @@ def random_smooth_spec(rng: np.random.Generator, n: int) -> HamiltonianSpec:
         return base + drive_a * np.cos(nu_a * t + delta) + drive_b * np.sin(nu_b * t)
 
     return HamiltonianSpec(dim=n, evaluate=evaluate)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while call() runs, above those traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

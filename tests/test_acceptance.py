@@ -443,3 +443,32 @@ def test_criterion_10_exact_diagonalization_in_the_model_gauge():
         f"(>= 1e-6); ms_second: r_gap1/r_gap={', '.join(f'{r:.3f}' for r in ms_ratios)} "
         f"([0.4, 0.6]), leak={min(ms_leaks):.4f} (>= 0.99); runtime={elapsed:.2f}s (< 10s)",
     )
+
+
+def test_criterion_10_survival_predicted_from_the_eigenvectors_of_m0():
+    """Claim (c) as a prediction: in the rotating model's own frames M is constant, so
+    c(t) = exp(-i M(0) t) c(0), and the eigenvectors of M(0) give the survival probability
+    |c_0(t)|^2 that `propagate` must reproduce to its O(dt^2)."""
+    t0 = time.perf_counter()
+    errors = {}
+    for omega in (0.05, 0.5):
+        params = RotatingModelParams(mu_B=1.0, theta=1.0, omega=omega)
+        spec = rotating_model(params)
+        for steps in (512, 1024, 2048, 4096):
+            grid = TimeGrid(0.0, params.period, steps)
+            eff = effective_of(spec, grid)
+            w, W = np.linalg.eigh((eff.values[0] + eff.values[0].conj().T) / 2)
+            predicted = np.exp(-1j * np.outer(grid.times, w)) @ np.abs(W[0]) ** 2
+            c0 = propagate(spec, grid, [0], frames=eff.frames).coefficients[0][:, 0]
+            errors[omega, steps] = max_abs(np.abs(predicted) ** 2 - np.abs(c0) ** 2)
+    ratios = [errors[key] / errors[key[0], 2 * key[1]] for key in errors if key[1] < 4096]
+    finest = max(errors[omega, 4096] for omega in (0.05, 0.5))
+    elapsed = time.perf_counter() - t0
+    ok = all(3.2 <= r <= 4.8 for r in ratios) and finest <= 1e-6 and elapsed < 5.0
+    assert verdict(
+        10,
+        "survival probability from the eigenvectors of M(0)",
+        ok,
+        f"halving ratios={', '.join(f'{r:.2f}' for r in ratios)} (4 +/- 20%), "
+        f"max err(K=4096)={finest:.1e} (tol 1e-6), runtime={elapsed:.2f}s (< 5s)",
+    )

@@ -21,9 +21,16 @@ from adiabatica import (
     propagate,
     rotating_model,
 )
-from adiabatica.effective import accumulate_trapezoid
+from adiabatica.effective import (
+    DEGENERATE_RTOL,
+    WITNESS_RTOL,
+    EffectiveHamiltonian,
+    accumulate_trapezoid,
+)
 from adiabatica.models import SIGMA_X, SIGMA_Z
-from adiabatica.spectral import ConnectionMatrix, HamiltonianSpec
+from adiabatica.spectral import ConnectionMatrix, FrameTrajectory, HamiltonianSpec
+
+from conftest import random_smooth_spec, traced_peak
 
 
 def static_pipeline(H, grid):
@@ -115,6 +122,84 @@ def test_criteria_witnesses_survive_one_ulp_perturbation(model, rng):
         assert other.witnesses == report.witnesses
         for name in ("r_naive", "r_gap", "r_level"):
             assert getattr(other, name) == pytest.approx(getattr(report, name), rel=1e-14)
+
+
+def masked_criteria(eff, epsilon, energy_offset):
+    """Reference: every ratio over all (K, N, N) ordered pairs, the diagonal masked by
+    -inf in the numerator and +inf in the pair denominators, one witness per array."""
+    times, E = eff.frames.grid.times, eff.frames.energies
+    n, diag = eff.frames.dim, np.einsum("kii->ki", eff.values)
+    idx = np.arange(n)
+
+    def witness(values, pick):
+        extreme_at = int(pick(values))
+        extreme = values.flat[extreme_at]
+        near = np.abs(values - extreme) <= WITNESS_RTOL * abs(extreme)
+        near.flat[extreme_at] = True
+        k, *levels = np.unravel_index(int(np.argmax(near)), values.shape)
+        return float(extreme), {"time": float(times[k]), "levels": [int(m) for m in levels]}
+
+    offdiag = np.abs(eff.values)
+    offdiag[:, idx, idx] = -np.inf
+    naive = np.abs(E[:, :, None] - E[:, None, :])
+    gap = np.abs(diag[:, :, None] - diag[:, None, :])
+    naive[:, idx, idx] = gap[:, idx, idx] = np.inf
+    numerator, witnesses = witness(offdiag, np.argmax)
+    out = {"witnesses": {"numerator": witnesses}, "verdicts": {}}
+    floor = DEGENERATE_RTOL * max_abs(E)
+    for name, values in (("naive", naive), ("gap", gap), ("level", np.abs(diag + energy_offset))):
+        den, out["witnesses"][f"{name}_denominator"] = witness(values, np.argmin)
+        out[f"r_{name}"] = numerator / den if den > floor else float("inf")
+        out["verdicts"][name] = bool(out[f"r_{name}"] < epsilon)
+    return out
+
+
+def tied_effective(rng, n, steps):
+    """An EffectiveHamiltonian stack with planted ties and near ties (within WITNESS_RTOL)
+    in every criteria quantity: equal level spacings, repeated diagonals, equal |M_ij|."""
+    k = steps + 1
+    E = np.cumsum(0.5 + rng.random((k, n)), axis=1)
+    spacing = 0.5 * rng.choice([1.0, 1 + 3e-10, 1 - 2e-10], size=k)
+    equal = rng.random(k) < 0.5
+    E[equal] = spacing[equal, None] * np.arange(n) + rng.integers(-2, 3, size=(equal.sum(), 1))
+    values = (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))) / 4
+    peak = 2.0 * rng.choice([1, -1, 1j, -1j, 1 - 1e-10, 1 + 4e-10j], size=(k, n, n))
+    planted = rng.random((k, n, n)) < 0.1
+    values[planted] = peak[planted]
+    diag = rng.choice([-1.0, -0.5, -0.25, 0.25, 0.5, 1.0 + 1e-10], size=(k, n)).astype(complex)
+    noisy = rng.random(k) < 0.3
+    diag[noisy] += rng.normal(size=(noisy.sum(), n)) + 1e-3j * rng.normal(size=(noisy.sum(), n))
+    idx = np.arange(n)
+    values[:, idx, idx] = diag
+    vectors = np.broadcast_to(np.eye(n, dtype=complex), (k, n, n))
+    return EffectiveHamiltonian(values, FrameTrajectory(TimeGrid(0.0, 1.0, steps), E, vectors))
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_criteria_match_the_masked_reference_on_planted_ties(n):
+    # Symmetric denominators over unordered pairs must name the same witnesses as the
+    # masked (K, N, N) arrays: the first near pair of a symmetric set has i < j.
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        eff = tied_effective(rng, n, int(rng.integers(1, 24)))
+        for energy_offset in (0.0, 0.25, -0.5, 0.0371):
+            report = criteria(eff, epsilon=0.5, energy_offset=energy_offset)
+            expected = masked_criteria(eff, 0.5, energy_offset)
+            for key, value in expected.items():
+                assert getattr(report, key) == value, (trial, energy_offset, key)
+
+
+def test_criteria_temporaries_stay_below_two_stacks():
+    # Traced peak against S, one (K+1, N, N) complex stack (8 MiB at N = 16, K = 2048).
+    # Every pass builds its magnitudes, takes its witness and drops them: |M| as a float
+    # (K+1, N^2) array and its witness's difference and magnitude read 1.50 S. Three
+    # masked (K+1, N, N) float arrays held at once read 2.53 S.
+    spec = random_smooth_spec(np.random.default_rng(7), 16)
+    grid = TimeGrid(0.0, 10.0, 2048)
+    frames = build_frames(spec, grid)
+    eff = build_effective(frames, connection(frames))
+    stack = (grid.steps + 1) * 16 * 16 * 16
+    assert traced_peak(lambda: criteria(eff)) <= 1.75 * stack
 
 
 def test_barred_criteria_naive_passes_gap_fails():
@@ -262,8 +347,6 @@ def test_adiabatic_amplitude_geometric_part_exact():
 
 
 def test_effective_hermitian_within_connection_tolerance(rng):
-    from conftest import random_smooth_spec
-
     spec = random_smooth_spec(rng, 3)
     grid = TimeGrid(0.0, 1.0, 256)
     frames = build_frames(spec, grid)

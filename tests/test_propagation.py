@@ -1,6 +1,5 @@
 import itertools
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +33,7 @@ from adiabatica.numerics import dagger, exp_antihermitian_batch
 from adiabatica.propagation import _accumulate
 from adiabatica.spectral import HamiltonianSpec
 
-from conftest import random_hermitian, random_smooth_spec
+from conftest import random_hermitian, random_smooth_spec, traced_peak
 
 
 def exact_initial(params, level):
@@ -405,17 +404,6 @@ def test_stepping_is_unitary_and_composes_across_blocks(n, steps, per_block, see
     times = grid.times[:: max(1, steps // 5)]
     triples = list(itertools.combinations(times, 3))
     assert composition_check(stepping_evolution(result), triples) <= 1e-12
-
-
-def traced_peak(call) -> int:
-    """Peak bytes traced by tracemalloc while call() runs, above those traced at its start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n, steps", [(8, 4096), (16, 2048)])

@@ -16,8 +16,10 @@ from adiabatica import (
     RotatingModelParams,
     TimeGrid,
     barred_model,
+    build_effective,
     build_frames,
     connection,
+    criteria,
     holonomy,
     max_abs,
     ms_second_model,
@@ -193,6 +195,37 @@ def test_rotating_connection_equator_values():
     assert np.allclose(A[:, 0, 1], 0.05, atol=1e-14)
     assert np.allclose(A[:, 1, 0], 0.05, atol=1e-14)
     assert np.allclose(A[:, 1, 1], 0.05, atol=1e-14)
+
+
+def test_real_analytic_frames_give_a_complex_connection():
+    # H = cos t sigma_z + sin t sigma_x is real symmetric, and so are its eigenvector columns:
+    # level 0 (E = -1) is (sin t/2, -cos t/2), level 1 is (cos t/2, sin t/2).
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return np.cos(t) * SIGMA_Z + np.sin(t) * SIGMA_X
+
+    def frame(times):
+        c, s = np.cos(times / 2), np.sin(times / 2)
+        vectors = np.stack([np.stack([s, -c], -1), np.stack([c, s], -1)], -1)
+        derivatives = 0.5 * np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -1)
+        return np.tile([-1.0, 1.0], (len(times), 1)), vectors, derivatives
+
+    spec = HamiltonianSpec(dim=2, evaluate=evaluate, analytic_frame=frame, batched=True)
+    grid = TimeGrid(0.0, 2 * np.pi, 256)
+    frames = build_frames(spec, grid)
+    assert frames.vectors.dtype == float
+    conn = connection(frames)
+    A = conn.values
+    # zero to the bit on the diagonal and in the real parts; -i/2 and i/2 off the diagonal
+    # up to the rounding of sin^2 + cos^2
+    assert np.array_equal(A.diagonal(axis1=1, axis2=2), np.zeros((257, 2)))
+    assert np.array_equal(A.real, np.zeros((257, 2, 2)))
+    assert max_abs(A - np.array([[0, -0.5j], [0.5j, 0]])) <= np.finfo(float).eps
+    assert criteria(build_effective(frames, conn)).r_naive == pytest.approx(0.25, rel=1e-15)
+    # the real frame changes sign around the loop: Berry phase pi
+    assert abs(holonomy(frames, conn, 0).value + 1) < 1e-12
+    coefficients = propagate(spec, grid, [0], frames=frames).coefficients[0]
+    assert max_abs(np.sum(np.abs(coefficients) ** 2, axis=1) - 1) < 1e-12
 
 
 def finite_difference_connection(frames):

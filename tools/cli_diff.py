@@ -15,11 +15,12 @@ of the two maxima of `gauge_transform_check` on each system, under fixed
 rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the
 system's frames (vectors, and derivatives when present), and of
 `ms_inconsistency_probe` at level 0 (chain and residual), and the peak bytes
-tracemalloc traced while `analyse` ran.
+tracemalloc traced while `analyse` ran and while `criteria` alone ran on the
+system's effective Hamiltonian.
 Prints the runs whose exit code, stdout or stderr differ, the analyses whose
 arrays differ, and both counts; exits 1 when any differ. It also prints each
-analysis's traced peak in both trees ("peak OLD → NEW MiB"), which is never
-counted as a difference.
+analysis's traced peaks in both trees ("peak OLD → NEW MiB" and "criteria peak
+OLD → NEW MiB"), which are never counted as differences.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def analytic_systems(ad) -> list:
 
 
 def analyses() -> dict:
-    """{analysis: {"digests": {array: sha256}, "peak": bytes}} for the lib_systems of
-    every seed and the analytic systems, from the imported tree."""
+    """{analysis: {"digests": {array: sha256}, "peak": bytes, "criteria peak": bytes}} for
+    the lib_systems of every seed and the analytic systems, from the imported tree."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
 
@@ -91,7 +92,10 @@ def analyses() -> dict:
         pairs = [rephasing(n) for n in range(system.spec.dim)]
         gauge = ad.gauge_transform_check(system.spec, system.grid, pairs)
         frames = ad.build_frames(system.spec, system.grid)
-        transported = ad.parallel_transport(frames, ad.connection(frames))
+        conn = ad.connection(frames)
+        eff = ad.build_effective(frames, conn)
+        _, criteria_peak = traced(lambda: ad.criteria(eff))
+        transported = ad.parallel_transport(frames, conn)
         probe = ad.ms_inconsistency_probe(system.spec, system.grid, 0)
         report, result = analysis.report, analysis.result
         witnesses = report.witnesses.values()
@@ -113,7 +117,9 @@ def analyses() -> dict:
         if transported.vector_derivatives is not None:
             arrays["transported derivatives"] = transported.vector_derivatives
         digests = {k: digest(v) for k, v in arrays.items()}
-        out[f"{label} {system.name}"] = {"digests": digests, "peak": peak}
+        out[f"{label} {system.name}"] = {
+            "digests": digests, "peak": peak, "criteria peak": criteria_peak
+        }
     return out
 
 
@@ -154,10 +160,11 @@ def analysis_differences(old_src: str, new_src: str) -> int:
             parts = [k for k in {**a, **b} if a.get(k) != b.get(k)]
             print(f"differs: {label}: {', '.join(parts)}")
     for label in labels:  # informational: memory is no output
-        old_mib, new_mib = (
-            f"{side[label]['peak'] / 2**20:.1f}" if label in side else "?" for side in (old, new)
-        )
-        print(f"peak {old_mib} → {new_mib} MiB: {label}")
+        for peak in ("peak", "criteria peak"):
+            old_mib, new_mib = (
+                f"{side[label][peak] / 2**20:.1f}" if label in side else "?" for side in (old, new)
+            )
+            print(f"{peak} {old_mib} → {new_mib} MiB: {label}")
     print(f"{differ} of {len(labels)} library analyses differ")
     return differ
 
