@@ -6,12 +6,15 @@ Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both take
 the Hermitian part (H + H^dagger)/2 and are unitary to rounding, not by
 construction; require_unitary bounds the drift of an accumulated stack per step.
 Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
-The Taylor step, the step overflow guard, dagger_matmul and the two stack checks
-stream each (K, N, N) stack through consecutive blocks of about BLOCK_BYTES
-(1 MiB), so a block's working set stays in cache and no kernel holds a stack
-beside its input and output, only a few blocks; the step kernel may write its
-output over its input. Every matrix gets the same arithmetic in the same order, so
-the results do not depend on the block size, bit for bit. eigh_batch shares
+The step kernel, dagger_matmul and the two stack checks stream each (K, N, N)
+stack through consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's
+working set stays in cache and no kernel holds a stack beside its input and
+output, only a few blocks; the step kernel may write its output over its input.
+The step kernel is a StepPlan, whose first pass over the blocks fixes what the
+whole stack shares, and whose form and exp then write any block's steps, so a
+caller may also stream blocks it builds itself and never hold the stack.
+Every matrix gets the same arithmetic in the same order, so the results do not
+depend on the block size, bit for bit. eigh_batch shares
 blocks of about BLOCK_BYTES / 8 among as many threads as the process may use
 CPUs, at most EIGH_MAX_THREADS, so pinning the process to one CPU (taskset)
 runs it on the calling thread alone; each matrix gets the same LAPACK call,
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +52,11 @@ def _blocks(stack: np.ndarray, nbytes: int | None = None) -> list[slice]:
     nbytes = BLOCK_BYTES if nbytes is None else nbytes
     size = max(1, nbytes // max(1, stack.itemsize * math.prod(stack.shape[1:])))
     return [slice(i, i + size) for i in range(0, max(len(stack), 1), size)]
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """The diagonals of a stack of matrices, (..., N): a writable view, not a gather."""
+    return np.einsum("...ii->...i", stack)
 
 
 def dagger(stack: np.ndarray) -> np.ndarray:
@@ -137,21 +146,29 @@ def require_hermitian_batch(hams: np.ndarray) -> None:
         )
 
 
-def require_unitary(stack: np.ndarray, what: str) -> None:
-    """Raise AdiabaticaError unless max|X^dagger X - I| <= UNITARITY_RTOL * max(1, K).
+def unitarity_defect(stack: np.ndarray, work: Sequence[np.ndarray] | None = None) -> float:
+    """max|X^dagger X - I| over a (K, N, N) stack, NaN if any X is not finite, through work:
+    two buffers at least as long as the stack, or new ones if None."""
+    if work is None:
+        gram = matmul(dagger(stack), stack)
+    else:
+        conj, gram = (w[: len(stack)] for w in work)
+        matmul(np.conjugate(stack, out=conj).swapaxes(-1, -2), stack, out=gram)
+    gram -= np.eye(stack.shape[-1])
+    return max_abs(gram)
 
-    K + 1 matrices span K steps: the drift bound of a K-step propagator, which frames
-    taken from one inherit. A non-finite X fails. The message reads "<what>: defect <value>".
-    """
 
-    def defect_of(block: np.ndarray) -> float:
-        gram = matmul(dagger(block), block)
-        gram -= np.eye(block.shape[-1])
-        return max_abs(gram)
-
-    defect = _max_over_blocks(stack, defect_of)
-    if not defect <= UNITARITY_RTOL * max(1, len(stack) - 1):
+def require_drift(defect: float, steps: int, what: str) -> None:
+    """Raise AdiabaticaError unless defect <= UNITARITY_RTOL * max(1, steps), NaN failing:
+    the drift bound of a propagator over that many steps, which frames taken from one
+    inherit. The message reads "<what>: defect <value>"."""
+    if not defect <= UNITARITY_RTOL * max(1, steps):
         raise AdiabaticaError(f"{what}: defect {defect:.3e}")
+
+
+def require_unitary(stack: np.ndarray, what: str) -> None:
+    """require_drift on max|X^dagger X - I| over a stack of K + 1 matrices, which span K steps."""
+    require_drift(float(_max_over_blocks(stack, unitarity_defect)), len(stack) - 1, what)
 
 
 def _taylor_degree(x: float) -> int:
@@ -163,81 +180,25 @@ def _taylor_degree(x: float) -> int:
     return d
 
 
-def _taylor_step(hams: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
-    """exp(-i s H) by a truncated Taylor series, scaled and squared, into out (may be hams).
+def _require_finite_phase(hams: np.ndarray, s: float) -> None:
+    """The step kernel's overflow guard on a block of H, before any arithmetic on it.
 
-    Only the Hermitian part (H + H^dagger)/2 is exponentiated, the matrix the sampling
-    check accepted, so a residue within HERMITICITY_RTOL cannot grow with |s|.
-    It is H = m I + H0 with m = tr(H)/N, so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0.
-    A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1.
-    Horner's rule P <- A P + I/j! at one degree _taylor_degree(x / 2^q), then q squarings
-    P <- P P (each doubles the rounding), run through matmul into two buffers.
-    Two passes over the blocks: the first forms A in out and x, which fixes q and d for
-    the whole stack; the second exponentiates each block of A in place.
+    AdiabaticaError unless |s| N ||H||_max, a bound on every phase s w, is finite, and
+    off N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach
+    2 ||H||_max; so a non-finite block fails too.
     """
-    n = hams.shape[-1]
-    diag = (slice(None), *np.diag_indices(n))
-    # m from the whole gathered diagonal of H + H^dagger, 2 Re H_ii exactly: numpy sums a
-    # gathered (K, N) array in an order that differs between K = 1 and K > 1, so per block
-    # a one-matrix tail would change bits. Divided first: no overflow near the float range.
-    m = (2 * hams[diag].real / (2 * n)).sum(axis=1)
-    blocks, x = _blocks(out), 0.0
-    for b in blocks:
-        blk = out[b]
-        # 2 (H + H^dagger)/2 from a block-sized copy of H^dagger, so blk may be hams[b];
-        # the overflow guard bounds its entries
-        np.add(hams[b], dagger(hams[b]), out=blk)
-        blk[diag] -= 2 * m[b, None]
-        blk *= -0.5j * s  # halving is exact: the bits of a Hermitian H are kept
-        x = max(x, float(np.abs(blk).sum(axis=1).max(initial=0.0)))
-    q = 0
-    while x > TAYLOR_MAX_NORM:
-        x, q = x / 2, q + 1
-    d = _taylor_degree(x)
-    phase = np.exp(-1j * s * m)
-    p_full, buffer_full = np.empty_like(out[blocks[0]]), np.empty_like(out[blocks[0]])
-    for b in blocks:
-        blk = out[b]
-        p, buffer = p_full[: len(blk)], buffer_full[: len(blk)]
-        if q:
-            blk *= 2.0**-q
-        # P = A / d! + I / (d-1)!, then d - 1 Horner products
-        np.multiply(blk, 1.0 / math.factorial(d), out=p)
-        p[diag] += 1.0 / math.factorial(d - 1)
-        for j in range(d - 2, -1, -1):
-            matmul(blk, p, out=buffer)
-            buffer[diag] += 1.0 / math.factorial(j)
-            p, buffer = buffer, p
-        for _ in range(q):
-            matmul(p, p, out=buffer)
-            p, buffer = buffer, p
-        np.multiply(p, phase[b, None, None], out=blk)
-    return out
-
-
-def exp_antihermitian_batch(
-    hams: np.ndarray, s: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """exp(-i * s * (H + H^dagger)/2) for each H of a (K, N, N) stack: its Hermitian part.
-
-    At N = 2, that part is m I + r . sigma, read from the real diagonal and the
-    mean of H_10 and conj(H_01), with the closed form
-    e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Every other N takes
-    a scaled-and-squared Taylor series of the traceless part (_taylor_step).
-    Both routes are unitary to rounding. Before any arithmetic on H, AdiabaticaError
-    is raised unless |s| N ||H||_max, a bound on every phase s w, is finite, and off
-    N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach 2 ||H||_max;
-    so a non-finite stack is rejected too. The steps go into out, a new complex stack
-    if None; out may be hams itself, and the results are the same bit for bit.
-    """
-    n, s_abs = hams.shape[-1], abs(float(s))
-    scale = float(_max_over_blocks(hams, max_abs))
+    n, s_abs, scale = hams.shape[-1], abs(s), max_abs(hams)
     bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
     if not math.isfinite(bound):
         raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")
-    out = np.empty(hams.shape, dtype=complex) if out is None else out
-    if n != 2:
-        return _taylor_step(hams, s, out)
+
+
+def _two_level_step(hams: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """The N = 2 closed form of exp(-i s (H + H^dagger)/2) into out (may be hams).
+
+    That part is m I + r . sigma, read from the real diagonal and the mean of H_10 and
+    conj(H_01): e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma], elementwise.
+    """
     h00, h11 = hams[:, 0, 0].real, hams[:, 1, 1].real
     h10 = 0.5 * hams[:, 1, 0] + 0.5 * hams[:, 0, 1].conj()  # the Hermitian part's H_10
     m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
@@ -250,3 +211,114 @@ def exp_antihermitian_batch(
     out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
     return out
 
+
+class StepPlan:
+    """exp(-i s (H + H^dagger)/2) for the K steps of a (K, N, N) stack H met block by block.
+
+    A step is taken in two calls: form writes a block's generator, exp turns it into
+    the block's steps in place. At N = 2 the generator is H itself and exp the closed
+    form (_two_level_step). Every other N takes a Taylor series: H = m I + H0 with
+    m = tr(H)/N, so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0 the generator. Only
+    the Hermitian part is exponentiated, the matrix the sampling check accepted, so a
+    residue within HERMITICITY_RTOL cannot grow with |s|. A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1
+    over the stack, and summed by Horner's rule at one degree d = _taylor_degree(x / 2^q).
+    Building the plan is the first pass over the blocks, which fixes m, q and d for
+    the stack. Each step gets the same arithmetic in the same order whatever the
+    blocks, so the steps do not depend on them, bit for bit.
+    """
+
+    def __init__(
+        self,
+        s: float,
+        diagonal: np.ndarray,
+        blocks: Iterable[tuple[slice, np.ndarray, np.ndarray]],
+        spare: np.ndarray | None = None,
+    ) -> None:
+        """diagonal is Re H_ii of the whole stack, (K, N). blocks yields (b, H[b], out):
+        the first pass runs the overflow guard on each block before it forms the block's
+        generator into out (form, with spare)."""
+        self.s, n = float(s), diagonal.shape[-1]
+        self.m = self.phase = None
+        if n != 2:
+            # m from the whole gathered diagonal, 2 Re H_ii exactly: numpy sums a (K, N)
+            # array in an order that differs between K = 1 and K > 1, so per block a
+            # one-matrix tail would change bits. Divided first: no overflow near the float
+            # range; an overflow here comes with a non-finite guard bound, which raises.
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.m = (2 * diagonal / (2 * n)).sum(axis=1)
+        x = 0.0
+        for b, h, out in blocks:
+            _require_finite_phase(h, self.s)
+            a = self.form(h, b, out, spare)
+            if n != 2:
+                x = max(x, float(np.abs(a).sum(axis=1).max(initial=0.0)))
+        self.q = 0
+        while x > TAYLOR_MAX_NORM:
+            x, self.q = x / 2, self.q + 1
+        self.d = _taylor_degree(x)
+        if n != 2:
+            self.phase = np.exp(-1j * self.s * self.m)
+
+    def form(
+        self, hams: np.ndarray, b: slice, out: np.ndarray, spare: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The generator of steps b from their H into out; spare, a buffer at least as long,
+        holds H^dagger when out may be hams."""
+        if self.m is None:
+            np.copyto(out, hams)
+            return out
+        # 2 (H + H^dagger)/2, which the overflow guard bounds
+        dag = spare[: len(out)] if np.may_share_memory(out, hams) else out
+        np.add(hams, np.conjugate(hams.swapaxes(-1, -2), out=dag), out=out)
+        _diagonal(out)[...] -= 2 * self.m[b, None]
+        out *= -0.5j * self.s  # halving is exact: the bits of a Hermitian H are kept
+        return out
+
+    def exp(self, blk: np.ndarray, b: slice, work: Sequence[np.ndarray | None]) -> np.ndarray:
+        """The steps b in place of their generator in blk; returns blk.
+
+        Off N = 2, work is two complex buffers at least as long as blk: Horner's rule
+        P <- A P + I/j!, then q squarings P <- P P (each doubles the rounding), run
+        through matmul between the two.
+        """
+        if self.m is None:
+            return _two_level_step(blk, self.s, blk)
+        p, buffer = (w[: len(blk)] for w in work)
+        q, d = self.q, self.d
+        if q:
+            blk *= 2.0**-q
+        # P = A / d! + I / (d-1)!, then d - 1 Horner products
+        np.multiply(blk, 1.0 / math.factorial(d), out=p)
+        _diagonal(p)[...] += 1.0 / math.factorial(d - 1)
+        for j in range(d - 2, -1, -1):
+            matmul(blk, p, out=buffer)
+            _diagonal(buffer)[...] += 1.0 / math.factorial(j)
+            p, buffer = buffer, p
+        for _ in range(q):
+            matmul(p, p, out=buffer)
+            p, buffer = buffer, p
+        return np.multiply(p, self.phase[b, None, None], out=blk)
+
+
+def exp_antihermitian_batch(
+    hams: np.ndarray, s: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-i * s * (H + H^dagger)/2) for each H of a (K, N, N) stack: its Hermitian part.
+
+    At N = 2 a closed form, at every other N a scaled-and-squared Taylor series of the
+    traceless part (StepPlan); both are unitary to rounding. The stack is streamed in
+    blocks of about BLOCK_BYTES, twice: the plan's pass runs the overflow guard on each
+    block and then forms its generator in out; the second turns it into the steps. So
+    AdiabaticaError is raised before any arithmetic on a block whose phase bound is not
+    finite, a non-finite block included. The steps go into out, a new complex stack if
+    None; out may be hams itself, and the results are the same bit for bit.
+    """
+    blocks, n = _blocks(hams), hams.shape[-1]
+    out = np.empty(hams.shape, dtype=complex) if out is None else out
+    spare = np.empty(out[blocks[0]].shape, complex) if n != 2 else None
+    diagonal = hams.real[(slice(None), *np.diag_indices(n))]
+    plan = StepPlan(s, diagonal, ((b, hams[b], out[b]) for b in blocks), spare)
+    work = (spare, None if spare is None else np.empty_like(spare))  # after the first pass
+    for b in blocks:
+        plan.exp(out[b], b, work)
+    return out

@@ -2,9 +2,10 @@
 
 Each step applies exp(-i * H(t_k + dt/2) * dt), a second-order Magnus
 truncation; propagators accumulate left-multiplicatively so U[k] evolves from
-t_start to t_k. All K steps are exponentiated in one batched call
-(numerics.exp_antihermitian_batch), and the prefix products are a blocked scan
-of batched products (see _accumulate), so no Python loop runs per step. The
+t_start to t_k. The K steps are exponentiated in batched calls
+(numerics.exp_antihermitian_batch, numerics.StepPlan), and the prefix products
+are a blocked scan of batched products (see _scan), so no Python loop runs per
+step. The
 kernel exponentiates the Hermitian part of its generators: H is checked finite
 and Hermitian where it is sampled (HamiltonianSpec.sample), and the coefficient
 route's midpoints of M, Hermitian only to O(dt^2) on a grid, need no
@@ -13,11 +14,13 @@ kernel's overflow guard still rejects a non-finite stack. Steps are unitary
 to rounding, so every accumulated stack, direct or in coefficient space, is
 checked for drift (_midpoint_propagators). Coarse steps are scaled and squared;
 far too coarse ones (dt ||H||_max from about 1e6 at N = 3) fail it.
-Each route writes its K steps into the (K+1, N, N) stack it returns and scans
-them there. The coefficient route forms its sums M_k + M_{k+1} in that stack
-too, so it holds one stack beside M; the direct route holds two, its sampled
-midpoints of H and the output. Every other temporary is a few blocks of
-numerics.BLOCK_BYTES or smaller.
+Each route that returns propagators writes its K steps into the (K+1, N, N)
+stack it returns and scans them there: the direct route holds two stacks, its
+sampled midpoints of H and the output, and coefficient_evolution (and the gauge
+check) one beside M, forming its sums M_k + M_{k+1} in it. coefficient_propagate returns one column
+and holds no stack: it walks the steps in groups of whole scan blocks
+(numerics.StepPlan, _scan) and keeps the column of each. Every other temporary
+is a few blocks of numerics.BLOCK_BYTES or smaller.
 """
 
 from __future__ import annotations
@@ -30,8 +33,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .effective import EffectiveHamiltonian
+from . import numerics
 from .numerics import (
-    dagger, dagger_matmul, exp_antihermitian_batch, matmul, max_abs, require_unitary
+    StepPlan,
+    dagger,
+    dagger_matmul,
+    exp_antihermitian_batch,
+    matmul,
+    max_abs,
+    require_drift,
+    require_unitary,
+    unitarity_defect,
 )
 from .spectral import (
     FrameTrajectory,
@@ -53,29 +65,46 @@ __all__ = [
 ]
 
 
-def _accumulate(out: np.ndarray) -> np.ndarray:
-    """Prefix products in place: out[1:] holds the K steps of a (K+1, N, N) stack, and
-    on return out[k] = step[k-1] @ ... @ step[0], out[0] = I.
+def _scan_size(steps: int) -> int:
+    """b = ceil(sqrt(K)), the length of _scan's blocks over K steps."""
+    return math.isqrt(steps - 1) + 1
 
-    Blocked scan: the K steps form consecutive blocks of b = ceil(sqrt(K)) steps
-    (the last block may be shorter). First the products within every block run
-    side by side, one batched product per position in the block, so out[k] holds
-    the product of its block's steps up to k; each position's K/b steps are copied
-    out before they are overwritten. Then one pass over the blocks in order
-    multiplies each block on the right by the finished product that ends the block
-    before it, in one batched product per block. That is about 2*sqrt(K) product
-    calls in place of K, and no (K, N, N) buffer beside out. The factors are grouped
-    per block rather than strictly left to right, so the result matches a
+
+def _scan(
+    steps: np.ndarray, size: int, carry: np.ndarray | None, scratch: np.ndarray
+) -> np.ndarray:
+    """Prefix products in place: on return steps[i] = steps[i] @ ... @ steps[0] @ carry
+    (I if None); returns the last, a view into steps.
+
+    Blocked scan: the steps form consecutive blocks of `size` (the last may be shorter).
+    First the products within every block run side by side, one batched product per
+    position in the block, so steps[i] holds the product of its block's steps up to i;
+    each position's steps are copied out before they are overwritten. Then one pass over
+    the blocks in order multiplies each block on the right by the finished product that
+    ends the block before it (carry for the first), in one batched product per block,
+    through scratch, at least `size` long. Every step gets the same products in the same
+    order however many blocks a call spans, so scanning a stack in runs of whole blocks,
+    each run's last product the next run's carry, gives the bits of one call. That is
+    about 2*sqrt(K) product calls in place of K for b = _scan_size(K). The factors are
+    grouped per block rather than strictly left to right, so the result matches a
     sequential loop to rounding, not bit for bit.
     """
-    k = len(out) - 1
-    b = math.isqrt(k - 1) + 1
+    for j in range(1, size):
+        matmul(steps[j::size].copy(), steps[j - 1 : len(steps) - 1 : size], out=steps[j::size])
+    for start in range(0, len(steps), size):
+        block = steps[start : start + size]
+        if carry is not None:
+            block[...] = matmul(block, carry, out=scratch[: len(block)])
+        carry = block[-1]
+    return carry
+
+
+def _accumulate(out: np.ndarray) -> np.ndarray:
+    """Prefix products in place: out[1:] holds the K steps of a (K+1, N, N) stack, and
+    on return out[k] = step[k-1] @ ... @ step[0], out[0] = I (one _scan of b-step blocks)."""
+    size = _scan_size(len(out) - 1)
     out[0] = np.eye(out.shape[-1])
-    for j in range(1, b):
-        matmul(out[j + 1 :: b].copy(), out[j:k:b], out=out[j + 1 :: b])
-    for end in range(b, k, b):
-        block = out[end + 1 : end + b + 1]
-        block[...] = matmul(block, out[end])
+    _scan(out[1:], size, None, np.empty_like(out[:size]))
     return out
 
 
@@ -179,11 +208,51 @@ def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
 
     Same midpoint-exponential scheme and unitarity check as propagate();
     returns c(t_k) with shape (steps+1, N) starting from the unit vector of
-    the given level (ValueError outside [0, N)).
+    the given level (ValueError outside [0, N)). It is column `level` of
+    _coefficient_propagators(eff), bit for bit, but no (K+1, N, N) stack is held.
+    The steps are walked in groups of whole _scan blocks, about BLOCK_BYTES each:
+    the sums M_k + M_{k+1} of a group are exponentiated and checked for drift in
+    chunks of about BLOCK_BYTES / 4, the group is scanned onto the product that ends
+    the group before, and its column kept. The sums are formed twice, once for the
+    step plan's first pass. A group, three chunks, a scan block and the result are
+    all the route holds.
     """
     _require_level(level, eff.frames.dim)
-    # A copy, so the caller does not keep the whole (K+1, N, N) stack alive.
-    return _coefficient_propagators(eff)[:, :, level].copy()
+    values, n = eff.values, eff.frames.dim
+    k, size, matrix = len(values) - 1, _scan_size(len(values) - 1), n * n * 16
+    per_group = size * max(1, numerics.BLOCK_BYTES // (size * matrix))
+    per_chunk = min(max(1, numerics.BLOCK_BYTES // 4 // matrix), per_group, k)
+    steps = np.empty((min(per_group, k), n, n), dtype=complex)
+    sums, work, scratch = (np.empty((m, n, n), dtype=complex) for m in (per_chunk, per_chunk, size))
+
+    def spans(start: int, stop: int, length: int) -> list[slice]:
+        return [slice(i, min(i + length, stop)) for i in range(start, stop, length)]
+
+    def summed(c: slice) -> np.ndarray:
+        return np.add(values[c], values[c.start + 1 : c.stop + 1], out=sums[: c.stop - c.start])
+
+    diagonal = values.real[(slice(None), *np.diag_indices(n))]
+    diagonal = diagonal[:-1] + diagonal[1:]
+    plan = StepPlan(
+        eff.frames.grid.dt / 2,
+        diagonal,
+        ((c, summed(c), work[: c.stop - c.start]) for c in spans(0, k, per_chunk)),
+    )
+    del diagonal
+    column = np.empty((k + 1, n), dtype=complex)
+    column[0] = np.eye(n)[level]
+    carry, defects = None, []
+    for g in spans(0, k, per_group):
+        group = steps[: g.stop - g.start]
+        chunks = spans(g.start, g.stop, per_chunk)
+        parts = [(c, group[c.start - g.start : c.stop - g.start]) for c in chunks]
+        for c, part in parts:
+            plan.exp(plan.form(summed(c), c, part), c, (work, sums))
+        carry = _scan(group, size, carry, scratch).copy()
+        defects += [unitarity_defect(part, (sums, work)) for _, part in parts]
+        column[g.start + 1 : g.stop + 1] = group[:, :, level]
+    require_drift(float(np.max(defects)), k, "propagator lost unitarity")
+    return column
 
 
 def _two_time(stack: np.ndarray, grid: TimeGrid) -> Callable[[float, float], np.ndarray]:

@@ -289,12 +289,17 @@ def test_taylor_route_exponentiates_the_hermitian_part():
 def test_both_step_routes_exponentiate_the_same_hermitian_part_at_n2():
     # The coefficient route hands the kernel unsymmetrised sums of M: the closed form
     # must read the Hermitian part too, as the Taylor route does, not the lower triangle.
+    # The Taylor route runs on H (+) 0, whose step is exp(-i s H) (+) 1.
     rng = np.random.default_rng(11)
     x, y = random_complex(rng, (32, 2, 2)), random_complex(rng, (32, 2, 2))
     hams = (x + dagger(x)) / 2 + 1e-6 * (y - dagger(y)) / 2
+    embedded = np.zeros((32, 3, 3), dtype=complex)
+    embedded[:, :2, :2] = hams
     for s in (0.05, 0.7, 3.0):
         closed = exp_antihermitian_batch(hams, s)
-        assert max_abs(closed - numerics._taylor_step(hams, s, np.empty_like(hams))) <= 1e-13
+        taylor = exp_antihermitian_batch(embedded, s)
+        assert max_abs(taylor[:, 2, 2] - 1) <= 1e-13
+        assert max_abs(closed - taylor[:, :2, :2]) <= 1e-13
         assert max_abs(dagger(closed) @ closed - np.eye(2)) <= 1e-14
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiabatica import (
@@ -30,8 +30,9 @@ from adiabatica import (
 from adiabatica import numerics, propagation
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import dagger, exp_antihermitian_batch
-from adiabatica.propagation import _accumulate
-from adiabatica.spectral import HamiltonianSpec
+from adiabatica.effective import EffectiveHamiltonian
+from adiabatica.propagation import _accumulate, _coefficient_propagators, _scan_size
+from adiabatica.spectral import FrameTrajectory, HamiltonianSpec
 
 from conftest import random_hermitian, random_smooth_spec, traced_peak
 
@@ -360,21 +361,23 @@ def test_step_far_too_coarse_fails_the_drift_check_without_runtime_warning(rng):
 )
 def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect, last_only):
     # Steps that are not unitary (scaled, or NaN) must fail the drift check on
-    # the direct route and on the coefficient route alike. The 33 propagators
-    # span blocks of 5, 5, ..., 3, so a defect of the last step alone reaches
-    # the last block only.
+    # the direct route and on the coefficient route alike. The 32 steps span kernel
+    # blocks of 5, 5, ..., 2 and the streamed coefficient route's groups of one scan
+    # block, 6, 6, ..., 2, so a defect of the last step alone reaches the last only.
     spec = random_smooth_spec(rng, 3)
     grid = TimeGrid(0.0, 1.0, 32)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
     monkeypatch.setattr(numerics, "BLOCK_BYTES", 5 * 16 * 3 * 3)
+    exp = numerics.StepPlan.exp
 
-    def defective_steps(h, s, out):  # the defect goes into the route's own stack
-        steps = exp_antihermitian_batch(h, s, out=out)
-        steps[-1 if last_only else slice(None)] *= defect
+    def defective_steps(plan, blk, b, work):  # every route writes its steps here
+        steps = exp(plan, blk, b, work)
+        if not last_only or b.start + len(steps) == grid.steps:
+            steps[-1 if last_only else slice(None)] *= defect
         return steps
 
-    monkeypatch.setattr(propagation, "exp_antihermitian_batch", defective_steps)
+    monkeypatch.setattr(numerics.StepPlan, "exp", defective_steps)
     for run in (
         lambda: stepping_propagators(spec, grid),
         lambda: coefficient_propagate(eff, 0),
@@ -406,21 +409,61 @@ def test_stepping_is_unitary_and_composes_across_blocks(n, steps, per_block, see
     assert composition_check(stepping_evolution(result), triples) <= 1e-12
 
 
-@pytest.mark.parametrize("n, steps", [(8, 4096), (16, 2048)])
+@pytest.mark.parametrize("n, steps", [(2, 8192), (8, 4096), (16, 2048)])
 def test_each_route_builds_its_propagators_in_one_stack(n, steps):
-    # Traced peaks against S, one (K+1, N, N) complex stack, and B = BLOCK_BYTES, the
-    # size of every temporary block. The coefficient route forms its midpoints, steps
-    # and prefix products in the one stack it returns; the direct route holds the stack
-    # of its sampled midpoints beside it. Both read S + 2.2 B and 2 S + 2.2 B at
-    # both sizes (numpy 2.4, Python 3.11), a margin of 0.8 B; a route that keeps
-    # its steps or midpoints in a stack of their own reads 3.0 S, beyond both bounds.
+    # Traced peaks against S, one (K+1, N, N) complex stack, C, the (K+1, N) column the
+    # coefficient route returns, and B = BLOCK_BYTES, the size of every temporary block.
+    # The coefficient route walks its steps in groups of about B / 2 and holds no stack:
+    # it reads C + 2.6 B, 1.9 B and 1.3 B at N = 2, 8 and 16 (numpy 2.4, Python 3.11;
+    # 2.0 S + 0.5 C, 1.5 S and 1.3 S when it built the stack). The direct route writes its
+    # steps into the stack it returns, beside the stack of its sampled midpoints: 2 S +
+    # 1.8 B, 2.6 B and 2.4 B; one that kept its steps in a stack of their own would read 3 S.
     spec = random_smooth_spec(np.random.default_rng(7), n)
     grid = TimeGrid(0.0, 10.0, steps)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
-    stack, block = (steps + 1) * n * n * 16, numerics.BLOCK_BYTES
-    assert traced_peak(lambda: coefficient_propagate(eff, 0)) <= stack + 3 * block
+    stack, column, block = (steps + 1) * n * n * 16, (steps + 1) * n * 16, numerics.BLOCK_BYTES
+    assert traced_peak(lambda: coefficient_propagate(eff, 0)) <= column + 3 * block
     assert traced_peak(lambda: stepping_propagators(spec, grid)) <= 2 * stack + 3 * block
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 8]),
+    k=st.integers(1, 120),
+    blocks_per_group=st.integers(1, 3),
+    per_kernel_block=st.integers(1, 9),
+    scale=st.sampled_from([0.1, 3.0, 300.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=13, blocks_per_group=1, per_kernel_block=4, scale=3.0, seed=1)
+@example(n=8, k=1, blocks_per_group=1, per_kernel_block=1, scale=300.0, seed=2)
+@example(n=2, k=13, blocks_per_group=3, per_kernel_block=1, scale=0.1, seed=3)
+def test_streamed_coefficient_route_is_the_column_of_the_stack(
+    n, k, blocks_per_group, per_kernel_block, scale, seed
+):
+    # The streamed walk must give each step the arithmetic the full-stack route gives it:
+    # the trace means from the whole diagonal, one q and d for the stack, the same scan
+    # blocks. K = 13 ends in a one-step scan block, and at one block per group in a
+    # one-step group; K = 1 is one step. BLOCK_BYTES sets the groups (whole scan blocks,
+    # about BLOCK_BYTES each), their chunks (about BLOCK_BYTES / 4, down to one step) and
+    # the full-stack kernel's blocks, which are resized to per_kernel_block matrices in
+    # turn; scale 300 makes steps coarse enough to be scaled and squared.
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(k + 1, n, n)) + 1j * rng.normal(size=(k + 1, n, n))
+    values = scale * ((y + dagger(y)) / 2 + 1e-3 * (y - dagger(y)) / 2)
+    grid = TimeGrid(0.0, 1.0, k)
+    frames = FrameTrajectory(grid, np.zeros((k + 1, n)), np.broadcast_to(np.eye(n), (k + 1, n, n)))
+    eff = EffectiveHamiltonian(values, frames)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "BLOCK_BYTES", blocks_per_group * _scan_size(k) * n * n * 16)
+        streamed = [coefficient_propagate(eff, level) for level in range(n)]
+        stacks = [_coefficient_propagators(eff)]
+        patch.setattr(numerics, "BLOCK_BYTES", per_kernel_block * n * n * 16)
+        stacks.append(_coefficient_propagators(eff))
+    for stack in stacks:
+        for level in range(n):
+            assert np.array_equal(streamed[level], stack[:, :, level])
 
 
 def landau_zener_spec(gap: float, rate: float = 1.0) -> HamiltonianSpec:

@@ -15,12 +15,14 @@ of the two maxima of `gauge_transform_check` on each system, under fixed
 rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the
 system's frames (vectors, and derivatives when present), and of
 `ms_inconsistency_probe` at level 0 (chain and residual), and the peak bytes
-tracemalloc traced while `analyse` ran and while `criteria` alone ran on the
-system's effective Hamiltonian.
+tracemalloc traced while `analyse` ran and while `criteria` and
+`coefficient_propagate` (level 0) each ran alone on the system's effective
+Hamiltonian.
 Prints the runs whose exit code, stdout or stderr differ, the analyses whose
 arrays differ, and both counts; exits 1 when any differ. It also prints each
-analysis's traced peaks in both trees ("peak OLD → NEW MiB" and "criteria peak
-OLD → NEW MiB"), which are never counted as differences.
+analysis's traced peaks in both trees ("peak OLD → NEW MiB", "criteria peak
+OLD → NEW MiB" and "coefficient peak OLD → NEW MiB"), which are never counted
+as differences.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def analytic_systems(ad) -> list:
 
 
 def analyses() -> dict:
-    """{analysis: {"digests": {array: sha256}, "peak": bytes, "criteria peak": bytes}} for
-    the lib_systems of every seed and the analytic systems, from the imported tree."""
+    """{analysis: {"digests": {array: sha256}, "peak": bytes, "criteria peak": bytes,
+    "coefficient peak": bytes}} for the lib_systems of every seed and the analytic
+    systems, from the imported tree."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
 
@@ -95,6 +98,7 @@ def analyses() -> dict:
         conn = ad.connection(frames)
         eff = ad.build_effective(frames, conn)
         _, criteria_peak = traced(lambda: ad.criteria(eff))
+        _, coefficient_peak = traced(lambda: ad.coefficient_propagate(eff, 0))
         transported = ad.parallel_transport(frames, conn)
         probe = ad.ms_inconsistency_probe(system.spec, system.grid, 0)
         report, result = analysis.report, analysis.result
@@ -118,7 +122,10 @@ def analyses() -> dict:
             arrays["transported derivatives"] = transported.vector_derivatives
         digests = {k: digest(v) for k, v in arrays.items()}
         out[f"{label} {system.name}"] = {
-            "digests": digests, "peak": peak, "criteria peak": criteria_peak
+            "digests": digests,
+            "peak": peak,
+            "criteria peak": criteria_peak,
+            "coefficient peak": coefficient_peak,
         }
     return out
 
@@ -160,9 +167,10 @@ def analysis_differences(old_src: str, new_src: str) -> int:
             parts = [k for k in {**a, **b} if a.get(k) != b.get(k)]
             print(f"differs: {label}: {', '.join(parts)}")
     for label in labels:  # informational: memory is no output
-        for peak in ("peak", "criteria peak"):
+        for peak in ("peak", "criteria peak", "coefficient peak"):
             old_mib, new_mib = (
-                f"{side[label][peak] / 2**20:.1f}" if label in side else "?" for side in (old, new)
+                f"{side[label][peak] / 2**20:.1f}" if peak in side.get(label, {}) else "?"
+                for side in (old, new)
             )
             print(f"{peak} {old_mib} → {new_mib} MiB: {label}")
     print(f"{differ} of {len(labels)} library analyses differ")
