@@ -180,51 +180,19 @@ def _taylor_degree(x: float) -> int:
     return d
 
 
-def _require_finite_phase(hams: np.ndarray, s: float) -> None:
-    """The step kernel's overflow guard on a block of H, before any arithmetic on it.
-
-    AdiabaticaError unless |s| N ||H||_max, a bound on every phase s w, is finite, and
-    off N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N reach
-    2 ||H||_max; so a non-finite block fails too.
-    """
-    n, s_abs, scale = hams.shape[-1], abs(s), max_abs(hams)
-    bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
-    if not math.isfinite(bound):
-        raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")
-
-
-def _two_level_step(hams: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
-    """The N = 2 closed form of exp(-i s (H + H^dagger)/2) into out (may be hams).
-
-    That part is m I + r . sigma, read from the real diagonal and the mean of H_10 and
-    conj(H_01): e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma], elementwise.
-    """
-    h00, h11 = hams[:, 0, 0].real, hams[:, 1, 1].real
-    h10 = 0.5 * hams[:, 1, 0] + 0.5 * hams[:, 0, 1].conj()  # the Hermitian part's H_10
-    m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
-    r = np.hypot(z, np.abs(h10))
-    # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
-    sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
-    phase = np.exp(-1j * s * m)
-    cos, off = phase * np.cos(s * r), -1j * phase * sinc
-    out[:, 0, 0], out[:, 1, 1] = cos + off * z, cos - off * z
-    out[:, 1, 0], out[:, 0, 1] = off * h10, off * h10.conj()
-    return out
-
-
 class StepPlan:
     """exp(-i s (H + H^dagger)/2) for the K steps of a (K, N, N) stack H met block by block.
 
-    A step is taken in two calls: form writes a block's generator, exp turns it into
-    the block's steps in place. At N = 2 the generator is H itself and exp the closed
-    form (_two_level_step). Every other N takes a Taylor series: H = m I + H0 with
-    m = tr(H)/N, so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0 the generator. Only
-    the Hermitian part is exponentiated, the matrix the sampling check accepted, so a
-    residue within HERMITICITY_RTOL cannot grow with |s|. A is halved q times, the fewest with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1
-    over the stack, and summed by Horner's rule at one degree d = _taylor_degree(x / 2^q).
-    Building the plan is the first pass over the blocks, which fixes m, q and d for
-    the stack. Each step gets the same arithmetic in the same order whatever the
-    blocks, so the steps do not depend on them, bit for bit.
+    A block's steps take two calls: form writes its generator, exp turns that into
+    the steps in place. At N = 2 the generator is H itself and exp a closed form.
+    Every other N takes a Taylor series: H = m I + H0 with m = tr(H)/N, so
+    exp(-i s H) = e^{-i s m} exp(A), the generator A = -i s H0. Only the Hermitian
+    part is exponentiated, the matrix the sampling check accepted, so a residue
+    within HERMITICITY_RTOL cannot grow with |s|. A is halved q times, the fewest
+    with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1 over the stack, and summed
+    by Horner's rule at one degree d = _taylor_degree(x / 2^q). Building the plan is
+    a first pass over the blocks that fixes m, q and d for the stack, so each step
+    gets the same arithmetic in the same order whatever the blocks, bit for bit.
     """
 
     def __init__(
@@ -234,9 +202,13 @@ class StepPlan:
         blocks: Iterable[tuple[slice, np.ndarray, np.ndarray]],
         spare: np.ndarray | None = None,
     ) -> None:
-        """diagonal is Re H_ii of the whole stack, (K, N). blocks yields (b, H[b], out):
-        the first pass runs the overflow guard on each block before it forms the block's
-        generator into out (form, with spare)."""
+        """diagonal is Re H_ii of the whole stack, (K, N); blocks yields (b, H[b], out).
+
+        Before any arithmetic on a block, AdiabaticaError is raised unless |s| N ||H||_max,
+        a bound on every phase s w, is finite, and off N = 2 also 2 max(|s|, 1) N ||H||_max,
+        as entries of H - tr(H)/N reach 2 ||H||_max; so a non-finite block fails too.
+        Then its generator is formed into out (form, with spare).
+        """
         self.s, n = float(s), diagonal.shape[-1]
         self.m = self.phase = None
         if n != 2:
@@ -246,9 +218,14 @@ class StepPlan:
             # range; an overflow here comes with a non-finite guard bound, which raises.
             with np.errstate(over="ignore", invalid="ignore"):
                 self.m = (2 * diagonal / (2 * n)).sum(axis=1)
-        x = 0.0
+        x, s_abs = 0.0, abs(self.s)
         for b, h, out in blocks:
-            _require_finite_phase(h, self.s)
+            scale = max_abs(h)
+            bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
+            if not math.isfinite(bound):
+                raise AdiabaticaError(
+                    "step phase overflows: the bound on |s| N ||H||_max is not finite"
+                )
             a = self.form(h, b, out, spare)
             if n != 2:
                 x = max(x, float(np.abs(a).sum(axis=1).max(initial=0.0)))
@@ -277,12 +254,26 @@ class StepPlan:
     def exp(self, blk: np.ndarray, b: slice, work: Sequence[np.ndarray | None]) -> np.ndarray:
         """The steps b in place of their generator in blk; returns blk.
 
-        Off N = 2, work is two complex buffers at least as long as blk: Horner's rule
-        P <- A P + I/j!, then q squarings P <- P P (each doubles the rounding), run
-        through matmul between the two.
+        At N = 2 the Hermitian part is m I + r . sigma, read from the real diagonal and
+        the mean of H_10 and conj(H_01), and the step
+        e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Every other N runs
+        Horner's rule P <- A P + I/j!, then q squarings P <- P P (each doubles the
+        rounding), through matmul between the two buffers of work, each at least as
+        long as blk.
         """
+        s = self.s
         if self.m is None:
-            return _two_level_step(blk, self.s, blk)
+            h00, h11 = blk[:, 0, 0].real, blk[:, 1, 1].real
+            h10 = 0.5 * blk[:, 1, 0] + 0.5 * blk[:, 0, 1].conj()  # the Hermitian part's H_10
+            m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
+            r = np.hypot(z, np.abs(h10))
+            # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
+            sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
+            phase = np.exp(-1j * s * m)
+            cos, off = phase * np.cos(s * r), -1j * phase * sinc
+            blk[:, 0, 0], blk[:, 1, 1] = cos + off * z, cos - off * z
+            blk[:, 1, 0], blk[:, 0, 1] = off * h10, off * h10.conj()
+            return blk
         p, buffer = (w[: len(blk)] for w in work)
         q, d = self.q, self.d
         if q:

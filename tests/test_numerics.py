@@ -195,7 +195,7 @@ def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
     # tail of 1. The last step alone is coarse (x > TAYLOR_MAX_NORM), so every
     # block must be scaled and squared as often as that one. At each block size the
     # steps are also written over their own Hamiltonians (out=hams), as the
-    # coefficient route does; the N = 2 closed form, which takes no blocks, too.
+    # coefficient route does; the N = 2 closed form too.
     rng = np.random.default_rng(n)
     y = random_complex(rng, (7, n, n))
     hams = (y + dagger(y)) / 2 + 0.3 * np.eye(n)

@@ -27,10 +27,10 @@ from adiabatica import (
     stepping_evolution,
     stepping_propagators,
 )
-from adiabatica import numerics, propagation
+from adiabatica import numerics
+from adiabatica.effective import EffectiveHamiltonian
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import dagger, exp_antihermitian_batch
-from adiabatica.effective import EffectiveHamiltonian
 from adiabatica.propagation import _accumulate, _coefficient_propagators, _scan_size
 from adiabatica.spectral import FrameTrajectory, HamiltonianSpec
 
@@ -362,8 +362,8 @@ def test_step_far_too_coarse_fails_the_drift_check_without_runtime_warning(rng):
 def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect, last_only):
     # Steps that are not unitary (scaled, or NaN) must fail the drift check on
     # the direct route and on the coefficient route alike. The 32 steps span kernel
-    # blocks of 5, 5, ..., 2 and the streamed coefficient route's groups of one scan
-    # block, 6, 6, ..., 2, so a defect of the last step alone reaches the last only.
+    # blocks of 5, 5, ..., 2, and the streamed coefficient route exponentiates them one
+    # at a time, so a defect of the last step alone reaches the last call only.
     spec = random_smooth_spec(rng, 3)
     grid = TimeGrid(0.0, 1.0, 32)
     frames = build_frames(spec, grid)
@@ -413,11 +413,12 @@ def test_stepping_is_unitary_and_composes_across_blocks(n, steps, per_block, see
 def test_each_route_builds_its_propagators_in_one_stack(n, steps):
     # Traced peaks against S, one (K+1, N, N) complex stack, C, the (K+1, N) column the
     # coefficient route returns, and B = BLOCK_BYTES, the size of every temporary block.
-    # The coefficient route walks its steps in groups of about B / 2 and holds no stack:
-    # it reads C + 2.6 B, 1.9 B and 1.3 B at N = 2, 8 and 16 (numpy 2.4, Python 3.11;
-    # 2.0 S + 0.5 C, 1.5 S and 1.3 S when it built the stack). The direct route writes its
-    # steps into the stack it returns, beside the stack of its sampled midpoints: 2 S +
-    # 1.8 B, 2.6 B and 2.4 B; one that kept its steps in a stack of their own would read 3 S.
+    # The coefficient route walks its steps in groups of about B and holds no stack: it
+    # reads C + 1.6 B, 1.8 B and 1.8 B at N = 2, 8 and 16 (numpy 2.4, Python 3.11), and
+    # read 2.3, 6.2 and 10.2 MiB when it built the stack, beyond the bound at N = 8 and 16.
+    # The direct route writes its steps into the stack it returns, beside the stack of its
+    # sampled midpoints: 2 S + 1.8 B, 2.6 B and 2.4 B; one that kept its steps in a stack
+    # of their own would read 3 S.
     spec = random_smooth_spec(np.random.default_rng(7), n)
     grid = TimeGrid(0.0, 10.0, steps)
     frames = build_frames(spec, grid)
