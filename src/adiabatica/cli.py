@@ -6,7 +6,9 @@ significant digits so doubles round-trip losslessly. Exit codes: 0 success,
 2 config validation failure or an output that cannot be written, 3 numerical
 failure (non-finite or non-Hermitian input, a non-finite or non-orthonormal
 analytic frame, a propagator or phase that overflows, an eigenvalue crossing,
-or a grid too coarse to follow the eigenvectors).
+or a grid too coarse to follow the eigenvectors). An output is formatted in full,
+"%.17g" at about 0.4 us per float, before it is written in fragments of about
+4,096 floats, never joined into one string.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .models import (
     rotating_geometric_phase,
     rotating_model,
 )
+from .numerics import BLOCK_BYTES, _blocks
 from .phases import holonomy, ms_inconsistency_probe, phase_split
 from .propagation import (
     coefficient_evolution,
@@ -64,55 +67,72 @@ def _json_float(x: float) -> str:
 
 
 def _float_block(
-    block: np.ndarray, head: str, sep: str, tail: str, json_floats: bool = False
-) -> str:
-    """Every row of a 2-D float array as head + sep-joined floats + tail, concatenated.
+    block: np.ndarray, first: str, lead: str, sep: str, tail: str, json_floats: bool = False
+) -> list[str]:
+    """Every row of a 2-D float array as lead + sep-joined floats + tail, with first in
+    place of lead on the first row, in chunks of about 4,096 floats (BLOCK_BYTES / 32).
 
-    One bulk "%.17g" pass gives each float the bytes of format(x, ".17g"); with
-    json_floats, non-finite values become Infinity, -Infinity and NaN.
+    One bulk "%.17g" pass per chunk gives each float the bytes of format(x, ".17g");
+    with json_floats, non-finite values become Infinity, -Infinity and NaN.
     """
-    rows, cols = block.shape
-    values, cell = block.ravel().tolist(), "%.17g"
-    if json_floats and not np.isfinite(block).all():
-        values, cell = [_json_float(x) for x in values], "%s"
-    return (head + sep.join([cell] * cols) + tail) * rows % tuple(values)
+    parts = []
+    for rows in _blocks(block, BLOCK_BYTES // 32):
+        chunk = block[rows]
+        if not len(chunk):
+            continue
+        values, cell = chunk.ravel().tolist(), "%.17g"
+        if json_floats and not np.isfinite(chunk).all():
+            values, cell = [_json_float(x) for x in values], "%s"
+        row = sep.join([cell] * block.shape[1]) + tail
+        head = first if rows.start == 0 else lead
+        parts.append((head + row + (lead + row) * (len(chunk) - 1)) % tuple(values))
+    return parts
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with insertion-order keys and 17-significant-digit floats.
+def _to_json(obj, pad: str = "", out: Optional[list] = None) -> list[str]:
+    """Deterministic JSON with insertion-order keys and 17-significant-digit floats:
+    one pass appends its fragments to out (a new list if None) and returns out.
 
     1-D and 2-D float arrays render as nested lists through _float_block; json.dumps
     writes every other scalar and the empty containers, and raises TypeError on
     what it cannot write.
     """
-    pad = "  " * indent
+    out = [] if out is None else out
+    inner = pad + "  "
     if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
-        inner = pad + "  "
+        if not len(obj):
+            out.append("[]")
+            return out
         if obj.ndim == 1:
-            text = _float_block(obj[:, None], inner, "", ",\n", json_floats=True)
+            obj, opening, sep, closing = obj[:, None], "", "", ""
+        elif obj.shape[1]:
+            sep = ",\n" + inner + "  "
+            opening, closing = "[" + sep[1:], "\n" + inner + "]"
         else:
-            row_sep = ",\n" + inner + "  "
-            text = _float_block(
-                obj, inner + "[" + row_sep[1:], row_sep, "\n" + inner + "],\n", json_floats=True
-            )
-        return "[\n" + text[:-2] + "\n" + pad + "]"
-    if isinstance(obj, dict) and obj:
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_to_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = ",\n".join(f"{pad}  {_to_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, (float, np.floating)):
-        return _json_float(float(obj))
-    return json.dumps(obj)
+            opening, sep, closing = "[", "", "]"
+        lead = inner + opening
+        out += _float_block(obj, "[\n" + lead, ",\n" + lead, sep, closing, json_floats=True)
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        is_dict = isinstance(obj, dict)
+        names = [json.dumps(str(k)) + ": " for k in obj] if is_dict else [""] * len(obj)
+        opening = "{\n" if is_dict else "[\n"
+        for name, value in zip(names, obj.values() if is_dict else obj):
+            out.append(opening + inner + name)
+            _to_json(value, inner, out)
+            opening = ",\n"
+        out.append("\n" + pad + ("}" if is_dict else "]"))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_json_float(float(obj)))
+    else:
+        out.append(json.dumps(obj))
+    return out
 
 
-def _to_csv(header: list[str], rows) -> str:
-    """CSV text; rows is a 2-D float array or a list of mixed-type rows."""
+def _to_csv(header: list[str], rows) -> list[str]:
+    """CSV text as fragments; rows is a 2-D float array or a list of mixed-type rows."""
     if isinstance(rows, np.ndarray):
-        return ",".join(header) + "\n" + _float_block(rows, "", ",", "\n")
+        return [",".join(header) + "\n", *_float_block(rows, "", "", ",", "\n")]
 
     def render(v) -> str:
         if isinstance(v, bool):
@@ -123,7 +143,7 @@ def _to_csv(header: list[str], rows) -> str:
 
     lines = [",".join(header)]
     lines.extend(",".join(render(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _is_number(x) -> bool:
@@ -445,14 +465,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"adiabatica: warning: {message}", file=sys.stderr)
 
     fmt = args.format or config.get("format", "json")
-    text = _to_csv(header, rows) if fmt == "csv" else _to_json(payload) + "\n"
+    parts = _to_csv(header, rows) if fmt == "csv" else _to_json(payload) + ["\n"]
     output = args.output or config.get("output")
     try:
         if output:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
             sys.stdout.flush()  # a full device fails here, not in the flush at exit
     except OSError as exc:
         print(f"adiabatica: cannot write output: {exc}", file=sys.stderr)

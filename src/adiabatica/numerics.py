@@ -1,24 +1,11 @@
-"""Dense complex linear-algebra kernel for small Hermitian problems (N <= 16 target).
+"""Dense complex linear-algebra kernels for small Hermitian stacks (N <= 16).
 
-Step exponentials exp(-i s H) take one of two routes, chosen from N alone: a
-closed form at N = 2, and for every other N a truncated Taylor series by
-Horner's rule, scaled and squared when |s| ||H - tr(H)/N||_1 > 1. Both take
-the Hermitian part (H + H^dagger)/2 and are unitary to rounding, not by
-construction; require_unitary bounds the drift of an accumulated stack per step.
-Products of matrix stacks go through matmul, which skips BLAS for N <= 3.
-The step kernel, dagger_matmul and the two stack checks stream each (K, N, N)
-stack through consecutive blocks of about BLOCK_BYTES (1 MiB), so a block's
+The step kernel, dagger_matmul, eigh_batch and the stack checks stream a
+(K, N, N) stack through consecutive blocks of BLOCK_BYTES or less, so a block's
 working set stays in cache and no kernel holds a stack beside its input and
-output, only a few blocks; the step kernel may write its output over its input.
-The step kernel is a StepPlan, whose first pass over the blocks fixes what the
-whole stack shares, and whose form and exp then write any block's steps, so a
-caller may also stream blocks it builds itself and never hold the stack.
-Every matrix gets the same arithmetic in the same order, so the results do not
-depend on the block size, bit for bit. eigh_batch shares
-blocks of about BLOCK_BYTES / 8 among as many threads as the process may use
-CPUs, at most EIGH_MAX_THREADS, so pinning the process to one CPU (taskset)
-runs it on the calling thread alone; each matrix gets the same LAPACK call,
-so its results are np.linalg.eigh's, bit for bit.
+output, only a few blocks. Every matrix gets the same arithmetic in the same
+order whatever the blocks, so no result depends on the block size, bit for bit:
+eigh_batch's are np.linalg.eigh's.
 """
 
 from __future__ import annotations

@@ -1,25 +1,12 @@
-"""Exact time evolution by midpoint-exponential stepping, as one batched kernel.
+"""Exact time evolution by midpoint-exponential stepping, as batched kernels.
 
-Each step applies exp(-i * H(t_k + dt/2) * dt), a second-order Magnus
-truncation; propagators accumulate left-multiplicatively so U[k] evolves from
-t_start to t_k. The K steps are exponentiated in batched calls
-(numerics.StepPlan), and the prefix products are a blocked scan of batched
-products (see _scan), so no Python loop runs per step. The kernel
-exponentiates the Hermitian part of its generators: H is checked finite and
-Hermitian where it is sampled (HamiltonianSpec.sample), and the coefficient
-route's midpoints of M, Hermitian only to O(dt^2) on a grid, need no
-symmetrising; they are finite because build_frames checked the frames, and the
-kernel's overflow guard still rejects a non-finite stack. Steps are unitary
-to rounding, so every accumulated stack, direct or in coefficient space, is
-checked for drift. Coarse steps are scaled and squared; far too coarse ones
-(dt ||H||_max from about 1e6 at N = 3) fail it.
-A route that returns propagators writes its K steps into the (K+1, N, N) stack
-it returns and scans them there: the direct route holds two stacks, its sampled
-midpoints of H and the output, and coefficient_evolution one beside M, in which
-it forms its sums M_k + M_{k+1}. coefficient_propagate returns one column and
-holds no stack: it walks the steps in groups of whole scan blocks and keeps the
-column of each. Every other temporary is a few blocks of numerics.BLOCK_BYTES
-or smaller.
+Each step applies exp(-i dt H(t_k + dt/2)), a second-order Magnus truncation,
+and U[k] = step[k-1] ... step[0] evolves from t_start to t_k; no Python loop
+runs per step. Only the Hermitian part of a generator is exponentiated, so the
+coefficient route's midpoints of M, Hermitian only to O(dt^2) on a grid, need
+no symmetrising. Steps are unitary to rounding, not by construction, so every
+accumulated stack is checked for drift; far too coarse steps (dt ||H||_max
+from about 1e6 at N = 3) fail that check.
 """
 
 from __future__ import annotations

@@ -564,31 +564,61 @@ def closed_pipe():
     return os.fdopen(write_end, "w")
 
 
+ENOSPC, EPIPE = "[Errno 28] No space left on device", "[Errno 32] Broken pipe"
+LONG_SIMULATE = {  # K = 8192: its output spans many writes, unbuffered or not
+    "command": "simulate",
+    "model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0, "omega": 0.01},
+    "grid": {"t_start": 0.0, "t_end": 2 * np.pi / 0.01, "steps": 8192},
+}
+
+
 @pytest.mark.parametrize(
-    "sink, fmt, reason",
+    "sink, fmt, reason, command",
     [
-        ("/dev/full", "json", "[Errno 28] No space left on device"),
-        ("/dev/full", "csv", "[Errno 28] No space left on device"),
-        (None, "json", "[Errno 32] Broken pipe"),
+        ("/dev/full", "json", ENOSPC, "criteria"),
+        ("/dev/full", "csv", ENOSPC, "criteria"),
+        (None, "json", EPIPE, "criteria"),
+        ("/dev/full", "json", ENOSPC, "simulate"),
+        ("/dev/full", "csv", ENOSPC, "simulate"),
+        (None, "json", EPIPE, "simulate"),
+        (None, "csv", EPIPE, "simulate"),
     ],
-    ids=["full-json", "full-csv", "closed-pipe"],
+    ids=[
+        "full-json", "full-csv", "closed-pipe",
+        "full-json-simulate", "full-csv-simulate",
+        "closed-pipe-json-simulate", "closed-pipe-csv-simulate",
+    ],
 )
-def test_exit_code_2_when_stdout_cannot_be_written(tmp_path, sink, fmt, reason):
+def test_exit_code_2_when_stdout_cannot_be_written(tmp_path, sink, fmt, reason, command):
     if sink and not Path(sink).exists():
         pytest.skip(f"needs the {sink} device")
-    path = write_config(tmp_path, rotating_config())
-    # Buffered stdout keeps the unwritten bytes, which the flush at exit would retry.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    with open(sink, "w") if sink else closed_pipe() as out:
-        proc = subprocess.run(
-            [sys.executable, "-m", "adiabatica.cli", "criteria", "--config", path, "--format", fmt],
-            stdout=out,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+    path = write_config(tmp_path, rotating_config() if command == "criteria" else LONG_SIMULATE)
+    # Buffered stdout keeps the unwritten bytes, which the flush at exit would retry;
+    # unbuffered stdout makes each fragment its own write.
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        with open(sink, "w") if sink else closed_pipe() as out:
+            proc = subprocess.run(
+                [sys.executable, "-m", "adiabatica.cli", command, "--config", path, "--format", fmt],
+                stdout=out,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == f"adiabatica: cannot write output: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exit_code_2_when_a_long_output_names_a_missing_directory(tmp_path, fmt):
+    out = tmp_path / "missing" / f"report.{fmt}"
+    proc = run_cli(tmp_path, "simulate", {**LONG_SIMULATE, "format": fmt}, "--output", str(out))
     assert proc.returncode == 2
-    assert proc.stderr == f"adiabatica: cannot write output: {reason}\n"
+    assert proc.stderr.splitlines() == [
+        f"adiabatica: cannot write output: [Errno 2] No such file or directory: {str(out)!r}"
+    ]
+    assert proc.stdout == "" and [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_ms_second_regime_mismatch_is_a_config_error(tmp_path):

@@ -5,24 +5,29 @@ Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
 Each tree is a directory holding the adiabatica package (a checkout's src/).
 The CLI configs are the cli_oneshot and cli_trajectory mixes of
 bench/workloads.py at seeds 81 and 82, each in CSV and in JSON: 48 runs of
-`python -m adiabatica.cli` per tree. The library analyses are bench/run.py's
-`analyse` on workloads.lib_systems at the same seeds and default sizes, and
-on three systems framed by their models' analytic frames (the rotating model
-as built, the barred model over it and ms_second): 9 per tree, run in one
-subprocess (`python3 tools/cli_diff.py --analyses` with the tree on
-PYTHONPATH), which prints a sha256 digest of every array they return,
-of the two maxima of `gauge_transform_check` on each system, under fixed
-rephasings alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the
-system's frames (vectors, and derivatives when present), and of
+`python -m adiabatica.cli` to stdout per tree, and each cli_trajectory config
+once more with `--output FILE`: 20 more runs per tree, 68 in all. A file run
+differs when its exit code, stdout, stderr or file differ between the trees,
+or when either tree's file differs from that tree's stdout.
+
+The library analyses are bench/run.py's `analyse` on workloads.lib_systems
+at the same seeds and default sizes, and on three systems framed by their
+models' analytic frames (the rotating model as built, the barred model over
+it and ms_second): 9 per tree, run in one subprocess (`python3
+tools/cli_diff.py --analyses` with the tree on PYTHONPATH), which prints a
+sha256 digest of every array they return, of the two maxima of
+`gauge_transform_check` on each system, under fixed rephasings
+alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the system's
+frames (vectors, and derivatives when present), and of
 `ms_inconsistency_probe` at level 0 (chain and residual), and the peak bytes
 tracemalloc traced while `analyse` ran and while `criteria` and
 `coefficient_propagate` (level 0) each ran alone on the system's effective
 Hamiltonian.
-Prints the runs whose exit code, stdout or stderr differ, the analyses whose
-arrays differ, and both counts; exits 1 when any differ. It also prints each
-analysis's traced peaks in both trees ("peak OLD → NEW MiB", "criteria peak
-OLD → NEW MiB" and "coefficient peak OLD → NEW MiB"), which are never counted
-as differences.
+
+Prints the runs that differ, the analyses whose arrays differ, and both
+counts; exits 1 when any differ. It also prints each analysis's traced peaks
+in both trees ("peak OLD → NEW MiB", "criteria peak OLD → NEW MiB" and
+"coefficient peak OLD → NEW MiB"), which are never counted as differences.
 """
 
 from __future__ import annotations
@@ -130,23 +135,40 @@ def analyses() -> dict:
     return out
 
 
+def to_file(src: str, argv: list[str], path: Path) -> tuple:
+    """run() with --output path, and the bytes of the file (None if none was left)."""
+    return (*run(src, [*argv, "--output", str(path)]), path.read_bytes() if path.exists() else None)
+
+
 def cli_differences(old_src: str, new_src: str) -> int:
     differ = total = 0
+    names = ("exit", "stdout", "stderr", "file")
+    trees = {"old": old_src, "new": new_src}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
-            for case in workloads.cli_oneshot(seed) + workloads.cli_trajectory(seed):
+            trajectory = workloads.cli_trajectory(seed)
+            for case in workloads.cli_oneshot(seed) + trajectory:
                 for fmt in FORMATS:
                     config = Path(tmp) / f"{seed}-{case.name}-{fmt}.json"
                     config.write_text(json.dumps({**case.config, "format": fmt}))
                     argv = ["-m", "adiabatica.cli", case.command, "--config", str(config)]
-                    old, new = (run(src, argv) for src in (old_src, new_src))
-                    total += 1
-                    if old != new:
-                        differ += 1
-                        names = ("exit", "stdout", "stderr")
-                        parts = [k for k, a, b in zip(names, old, new) if a != b]
-                        print(f"differs: seed {seed} {case.name} {fmt}: {', '.join(parts)}")
-    print(f"{differ} of {total} CLI outputs differ in exit code, stdout or stderr")
+                    piped = {side: run(src, argv) for side, src in trees.items()}
+                    runs = [("", [k for k, a, b in zip(names, *piped.values()) if a != b])]
+                    if case in trajectory:
+                        filed = {
+                            side: to_file(src, argv, config.with_suffix(f".{side}.out"))
+                            for side, src in trees.items()
+                        }
+                        parts = [k for k, a, b in zip(names, *filed.values()) if a != b]
+                        parts += [f"{side} file vs stdout" for side in trees
+                                  if filed[side][3] != piped[side][1]]
+                        runs.append((" --output", parts))
+                    for label, parts in runs:
+                        total += 1
+                        if parts:
+                            differ += 1
+                            print(f"differs: seed {seed} {case.name} {fmt}{label}: {', '.join(parts)}")
+    print(f"{differ} of {total} CLI outputs differ in exit code, stdout, stderr or file")
     return differ
 
 
