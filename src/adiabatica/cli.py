@@ -70,7 +70,8 @@ def _float_block(
     block: np.ndarray, first: str, lead: str, sep: str, tail: str, json_floats: bool = False
 ) -> list[str]:
     """Every row of a 2-D float array as lead + sep-joined floats + tail, with first in
-    place of lead on the first row, in chunks of about 4,096 floats (BLOCK_BYTES / 32).
+    place of lead on the first row, in row chunks of about BLOCK_BYTES / 32 of doubles
+    (4,096 floats).
 
     One bulk "%.17g" pass per chunk gives each float the bytes of format(x, ".17g");
     with json_floats, non-finite values become Infinity, -Infinity and NaN.
