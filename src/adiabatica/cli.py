@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from .effective import accumulate_trapezoid, build_effective, criteria, geometric_phase
 from .errors import AdiabaticaError, NonCyclicWarning
 from .models import (
     MSSecondModelParams,
@@ -41,13 +40,6 @@ from .models import (
     rotating_model,
 )
 from .numerics import BLOCK_BYTES, _blocks
-from .phases import holonomy, ms_inconsistency_probe, phase_split
-from .propagation import (
-    coefficient_evolution,
-    composition_check,
-    propagate,
-    stepping_evolution,
-)
 from .spectral import TimeGrid, _is_integer, build_frames, connection
 
 TOP_KEYS = {"command", "model", "grid", "epsilon", "energy_offset", "output", "format", "seed", "sweep"}
@@ -90,9 +82,10 @@ def _float_block(
     return parts
 
 
-def _to_json(obj, pad: str = "", out: Optional[list] = None) -> list[str]:
+def _to_json(obj, pad: str = "", out: Optional[list] = None, head: str = "") -> list[str]:
     """Deterministic JSON with insertion-order keys and 17-significant-digit floats:
-    one pass appends its fragments to out (a new list if None) and returns out.
+    one pass appends its fragments to out (a new list if None) and returns out. The
+    first fragment starts with head, so a key and its scalar value are one fragment.
 
     1-D and 2-D float arrays render as nested lists through _float_block; json.dumps
     writes every other scalar and the empty containers, and raises TypeError on
@@ -102,7 +95,7 @@ def _to_json(obj, pad: str = "", out: Optional[list] = None) -> list[str]:
     inner = pad + "  "
     if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
         if not len(obj):
-            out.append("[]")
+            out.append(head + "[]")
             return out
         if obj.ndim == 1:
             obj, opening, sep, closing = obj[:, None], "", "", ""
@@ -112,21 +105,20 @@ def _to_json(obj, pad: str = "", out: Optional[list] = None) -> list[str]:
         else:
             opening, sep, closing = "[", "", "]"
         lead = inner + opening
-        out += _float_block(obj, "[\n" + lead, ",\n" + lead, sep, closing, json_floats=True)
+        out += _float_block(obj, head + "[\n" + lead, ",\n" + lead, sep, closing, json_floats=True)
         out.append("\n" + pad + "]")
     elif isinstance(obj, (dict, list, tuple)) and obj:
         is_dict = isinstance(obj, dict)
         names = [json.dumps(str(k)) + ": " for k in obj] if is_dict else [""] * len(obj)
-        opening = "{\n" if is_dict else "[\n"
+        opening = head + ("{\n" if is_dict else "[\n")
         for name, value in zip(names, obj.values() if is_dict else obj):
-            out.append(opening + inner + name)
-            _to_json(value, inner, out)
+            _to_json(value, inner, out, opening + inner + name)
             opening = ",\n"
         out.append("\n" + pad + ("}" if is_dict else "]"))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_json_float(float(obj)))
+        out.append(head + _json_float(float(obj)))
     else:
-        out.append(json.dumps(obj))
+        out.append(head + json.dumps(obj))
     return out
 
 
@@ -283,6 +275,8 @@ def _frames_pipeline(config: dict):
 
 
 def run_simulate(config: dict):
+    from .effective import accumulate_trapezoid, geometric_phase
+    from .propagation import propagate
     grid, spec, _, frames, conn = _frames_pipeline(config)
     levels = range(spec.dim)
     result = propagate(spec, grid, list(levels), frames=frames)
@@ -304,6 +298,7 @@ def run_simulate(config: dict):
 
 
 def run_criteria(config: dict):
+    from .effective import build_effective, criteria
     _, _, _, frames, conn = _frames_pipeline(config)
     eff = build_effective(frames, conn)
     report = criteria(
@@ -319,6 +314,7 @@ def run_criteria(config: dict):
 
 
 def run_holonomy(config: dict):
+    from .phases import holonomy, phase_split
     _, spec, _, frames, conn = _frames_pipeline(config)
     header = ["level", "dynamical", "geometric", "holonomy_re", "holonomy_im", "gauge"]
     gauge = "continuity" if frames.vector_derivatives is None else "model_analytic"
@@ -331,6 +327,7 @@ def run_holonomy(config: dict):
 
 
 def run_ms_probe(config: dict):
+    from .phases import ms_inconsistency_probe
     grid, spec, _ = _build(config)
     level = 0
     report = ms_inconsistency_probe(spec, grid, level)
@@ -353,6 +350,8 @@ def run_ms_probe(config: dict):
 
 
 def run_composition_check(config: dict):
+    from .effective import build_effective
+    from .propagation import coefficient_evolution, composition_check, propagate, stepping_evolution
     grid, spec, params, frames, conn = _frames_pipeline(config)
     times = grid.times
     idx = sorted({int(i) for i in np.linspace(0, grid.steps, 9)})
@@ -441,7 +440,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         print(f"adiabatica: cannot read config: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import AdiabaticaError
 from .numerics import dagger, matmul
-from .propagation import stepping_propagators
 from .spectral import HamiltonianSpec, TimeGrid, _is_integer, _require_level
 
 __all__ = [
@@ -167,6 +166,7 @@ def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
     is. When the base supplies analytic frames, the returned spec does too:
     vectors U^dag v_n with energies -E_n.
     """
+    from .propagation import stepping_propagators  # its one use: models loads without it
     half_grid = TimeGrid(grid.t_start, grid.t_end, 2 * grid.steps)
     table = stepping_propagators(base, half_grid)
 

@@ -483,10 +483,22 @@ def test_exit_code_2_on_unreadable_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_exit_code_2_on_malformed_json(tmp_path):
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"{not json",
+        b"\xff\xfe",  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder's recursion limit
+        b'{"epsilon": 1' + b"0" * 5000 + b"}",  # more digits than int() converts
+    ],
+    ids=["not-json", "not-utf8", "nested-100000", "5001-digit-integer"],
+)
+def test_exit_code_2_on_malformed_json(tmp_path, capsys, data):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
+    path.write_bytes(data)
     assert main(["criteria", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("adiabatica: cannot read config: ") and err.count("\n") == 1
 
 
 def test_exit_code_3_on_numerical_error(tmp_path, monkeypatch, capsys):
@@ -639,11 +651,40 @@ def test_ms_second_regime_mismatch_is_a_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_import_does_not_load_scipy():
-    code = "import sys, adiabatica.cli; print('scipy' in sys.modules)"
+BASE_MODULES = {"cli", "errors", "numerics", "spectral", "models"}  # validation and the frames
+BARRED = {"model": "barred_rotating", "mu_B": 1.0, "theta": 1.0, "omega": 1e-3}
+MS_SECOND = {
+    "model": {"model": "ms_second", "omega0": 4 * np.pi, "tau": 1.0},
+    "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 64},
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, loaded",
+    [
+        ("sweep", {"model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0}}, BASE_MODULES),
+        ("criteria", rotating_config(), BASE_MODULES | {"effective"}),
+        ("criteria", rotating_config(model=BARRED), BASE_MODULES | {"effective", "propagation"}),
+        ("composition-check", MS_SECOND, BASE_MODULES | {"effective", "propagation"}),
+        ("simulate", rotating_config(), BASE_MODULES | {"effective", "propagation"}),
+        ("holonomy", rotating_config(), BASE_MODULES | {"effective", "propagation", "phases"}),
+        ("ms-probe", MS_SECOND, BASE_MODULES | {"effective", "propagation", "phases"}),
+    ],
+    ids=["sweep", "criteria", "criteria-barred", "composition-check", "simulate", "holonomy", "ms-probe"],
+)
+def test_each_command_loads_only_its_modules(tmp_path, command, config, loaded):
+    """A fresh process running one command imports the package's modules that command
+    runs and no others, and never scipy."""
+    config = {key: value for key, value in config.items() if key != "command"}
+    path = write_config(tmp_path, config)
+    code = (
+        "import sys; from adiabatica.cli import main; "
+        f"code = main([{command!r}, '--config', {path!r}, '--output', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('adiabatica')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["0", "False", "adiabatica", *sorted(f"adiabatica.{m}" for m in loaded)]
 
 
 def test_csv_floats_have_17_significant_digits(tmp_path):
