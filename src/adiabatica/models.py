@@ -166,7 +166,7 @@ def barred_model(base: HamiltonianSpec, grid: TimeGrid) -> HamiltonianSpec:
     is. When the base supplies analytic frames, the returned spec does too:
     vectors U^dag v_n with energies -E_n.
     """
-    from .propagation import stepping_propagators  # its one use: models loads without it
+    from .propagation import stepping_propagators  # here, so importing models skips propagation
     half_grid = TimeGrid(grid.t_start, grid.t_end, 2 * grid.steps)
     table = stepping_propagators(base, half_grid)
 
