@@ -675,8 +675,7 @@ MS_SECOND = {
 def test_each_command_loads_only_its_modules(tmp_path, command, config, loaded):
     """A fresh process running one command imports the package's modules that command
     runs and no others, and never scipy."""
-    config = {key: value for key, value in config.items() if key != "command"}
-    path = write_config(tmp_path, config)
+    path = write_config(tmp_path, {**config, "command": command})
     code = (
         "import sys; from adiabatica.cli import main; "
         f"code = main([{command!r}, '--config', {path!r}, '--output', {str(tmp_path / 'out')!r}]); "
