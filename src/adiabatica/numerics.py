@@ -187,14 +187,13 @@ class StepPlan:
         s: float,
         diagonal: np.ndarray,
         blocks: Iterable[tuple[slice, np.ndarray, np.ndarray]],
-        spare: np.ndarray | None = None,
     ) -> None:
         """diagonal is Re H_ii of the whole stack, (K, N); blocks yields (b, H[b], out).
 
         Before any arithmetic on a block, AdiabaticaError is raised unless |s| N ||H||_max,
         a bound on every phase s w, is finite, and off N = 2 also 2 max(|s|, 1) N ||H||_max,
         as entries of H - tr(H)/N reach 2 ||H||_max; so a non-finite block fails too.
-        Then its generator is formed into out (form, with spare).
+        Then its generator is formed into out (form).
         """
         self.s, n = float(s), diagonal.shape[-1]
         self.m = self.phase = None
@@ -213,7 +212,7 @@ class StepPlan:
                 raise AdiabaticaError(
                     "step phase overflows: the bound on |s| N ||H||_max is not finite"
                 )
-            a = self.form(h, b, out, spare)
+            a = self.form(h, b, out)
             if n != 2:
                 x = max(x, float(np.abs(a).sum(axis=1).max(initial=0.0)))
         self.q = 0
@@ -223,22 +222,18 @@ class StepPlan:
         if n != 2:
             self.phase = np.exp(-1j * self.s * self.m)
 
-    def form(
-        self, hams: np.ndarray, b: slice, out: np.ndarray, spare: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The generator of steps b from their H into out; spare, a buffer at least as long,
-        holds H^dagger when out may be hams."""
+    def form(self, hams: np.ndarray, b: slice, out: np.ndarray) -> np.ndarray:
+        """The generator of steps b from their H into out, which must not overlap hams."""
         if self.m is None:
             np.copyto(out, hams)
             return out
         # 2 (H + H^dagger)/2, which the overflow guard bounds
-        dag = spare[: len(out)] if np.may_share_memory(out, hams) else out
-        np.add(hams, np.conjugate(hams.swapaxes(-1, -2), out=dag), out=out)
+        np.add(hams, np.conjugate(hams.swapaxes(-1, -2), out=out), out=out)
         _diagonal(out)[...] -= 2 * self.m[b, None]
         out *= -0.5j * self.s  # halving is exact: the bits of a Hermitian H are kept
         return out
 
-    def exp(self, blk: np.ndarray, b: slice, work: Sequence[np.ndarray | None]) -> np.ndarray:
+    def exp(self, blk: np.ndarray, b: slice, work: Sequence[np.ndarray]) -> np.ndarray:
         """The steps b in place of their generator in blk; returns blk.
 
         At N = 2 the Hermitian part is m I + r . sigma, read from the real diagonal and
@@ -276,27 +271,3 @@ class StepPlan:
             matmul(p, p, out=buffer)
             p, buffer = buffer, p
         return np.multiply(p, self.phase[b, None, None], out=blk)
-
-
-def exp_antihermitian_batch(
-    hams: np.ndarray, s: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """exp(-i * s * (H + H^dagger)/2) for each H of a (K, N, N) stack: its Hermitian part.
-
-    At N = 2 a closed form, at every other N a scaled-and-squared Taylor series of the
-    traceless part (StepPlan); both are unitary to rounding. The stack is streamed in
-    blocks of about BLOCK_BYTES, twice: the plan's pass runs the overflow guard on each
-    block and then forms its generator in out; the second turns it into the steps. So
-    AdiabaticaError is raised before any arithmetic on a block whose phase bound is not
-    finite, a non-finite block included. The steps go into out, a new complex stack if
-    None; out may be hams itself, and the results are the same bit for bit.
-    """
-    blocks, n = _blocks(hams), hams.shape[-1]
-    out = np.empty(hams.shape, dtype=complex) if out is None else out
-    spare = np.empty(out[blocks[0]].shape, complex) if n != 2 else None
-    diagonal = hams.real[(slice(None), *np.diag_indices(n))]
-    plan = StepPlan(s, diagonal, ((b, hams[b], out[b]) for b in blocks), spare)
-    work = (spare, None if spare is None else np.empty_like(spare))  # after the first pass
-    for b in blocks:
-        plan.exp(out[b], b, work)
-    return out

@@ -24,11 +24,9 @@ from .numerics import (
     StepPlan,
     dagger,
     dagger_matmul,
-    exp_antihermitian_batch,
     matmul,
     max_abs,
     require_drift,
-    require_unitary,
     unitarity_defect,
 )
 from .spectral import (
@@ -85,43 +83,75 @@ def _scan(
     return carry
 
 
-def _accumulate(out: np.ndarray) -> np.ndarray:
-    """Prefix products in place: out[1:] holds the K steps of a (K+1, N, N) stack, and
-    on return out[k] = step[k-1] @ ... @ step[0], out[0] = I (one _scan of b-step blocks)."""
-    size = _scan_size(len(out) - 1)
-    out[0] = np.eye(out.shape[-1])
-    _scan(out[1:], size, None, np.empty_like(out[:size]))
-    return out
-
-
-def _midpoint_propagators(
-    mids: np.ndarray, dt: float, out: np.ndarray | None = None
+def _walk(
+    generators: Callable[[slice, np.ndarray], np.ndarray],
+    diagonal: np.ndarray,
+    s: float,
+    level: int | None = None,
 ) -> np.ndarray:
-    """Prefix products of the steps exp(-i dt mids[k]), shape (K+1, N, N), in out.
+    """Prefix products U[k] = step[k-1] ... step[0], U[0] = I, of the K steps exp(-i s G_k),
+    (K+1, N, N), or with an int level their column level, (K+1, N).
 
-    out is a new stack if None, and mids may be out[1:]: the steps are written
-    into out[1:] and scanned there, so the route holds no stack beside mids and out.
-    Each step exponentiates the Hermitian part of mids[k]. AdiabaticaError when
-    max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN (require_unitary).
+    generators(c, buf) gives the G of steps c, a view or written into buf, a chunk
+    buffer; diagonal is their gathered Re G_ii, (K, N), dropped once the StepPlan pass
+    has read it. The steps are then walked in groups of whole _scan blocks, about
+    BLOCK_BYTES each, exponentiated in chunks of about BLOCK_BYTES / 4, scanned onto the
+    product that ends the group before and checked for drift per chunk. When the stack
+    is kept, a group is its slice of it, where the plan's pass formed its generators;
+    for a column, a group is a scratch stack, formed a second time, whose column is kept.
+    AdiabaticaError when max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN.
     """
-    out = np.empty((len(mids) + 1, *mids.shape[1:]), dtype=complex) if out is None else out
-    exp_antihermitian_batch(mids, dt, out=out[1:])
-    _accumulate(out)
-    require_unitary(out, "propagator lost unitarity")
+    (k, n), keep = diagonal.shape, level is None
+    size, matrix = _scan_size(k), n * n * 16
+    per_group = size * max(1, numerics.BLOCK_BYTES // (size * matrix))
+    per_chunk = min(max(1, numerics.BLOCK_BYTES // 4 // matrix), per_group, k)
+    buf, work, scratch = (np.empty((m, n, n), dtype=complex) for m in (per_chunk, per_chunk, size))
+    stack = np.empty((k + 1 if keep else min(per_group, k), n, n), dtype=complex)
+    steps = stack[1:] if keep else stack
+
+    def spans(start: int, stop: int, length: int) -> list[slice]:
+        return [slice(i, min(i + length, stop)) for i in range(start, stop, length)]
+
+    targets = ((c, steps[c] if keep else work[: c.stop - c.start]) for c in spans(0, k, per_chunk))
+    plan = StepPlan(s, diagonal, ((c, generators(c, buf), into) for c, into in targets))
+    del diagonal
+    out = stack if keep else np.empty((k + 1, n), dtype=complex)
+    out[0] = np.eye(n) if keep else np.eye(n)[level]
+    carry, defects = None, []
+    for g in spans(0, k, per_group):
+        group = steps[g] if keep else steps[: g.stop - g.start]
+        chunked = spans(g.start, g.stop, per_chunk)
+        parts = [(c, group[c.start - g.start : c.stop - g.start]) for c in chunked]
+        for c, part in parts:
+            plan.exp(part if keep else plan.form(generators(c, buf), c, part), c, (work, buf))
+        carry = _scan(group, size, carry, scratch).copy()
+        defects += [unitarity_defect(part, (buf, work)) for _, part in parts]
+        if not keep:
+            out[g.start + 1 : g.stop + 1] = group[:, :, level]
+    require_drift(float(np.max(defects)), k, "propagator lost unitarity")
     return out
 
 
-def _coefficient_propagators(eff: EffectiveHamiltonian) -> np.ndarray:
-    """Accumulated coefficient-space propagators under M(t), shape (steps+1, N, N).
+def _real_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Re H_ii of a (K, N, N) stack as a new (K, N) array, whose layout fixes the order in
+    which StepPlan sums the trace means: an np.diagonal view changes their bits."""
+    return stack.real[(slice(None), *np.diag_indices(stack.shape[-1]))]
 
-    Step k is exp(-i (dt/2) (M_k + M_{k+1})), bit for bit the step of the midpoint
+
+def _coefficient_propagators(eff: EffectiveHamiltonian, level: int | None = None) -> np.ndarray:
+    """_walk under M(t): the (steps+1, N, N) coefficient-space propagators, or their column
+    level. Step k is exp(-i (dt/2) (M_k + M_{k+1})), bit for bit the step of the midpoint
     (M_k + M_{k+1})/2, as halving is exact, except where dt < 2 * 2**-1022 makes dt/2
     subnormal; with ||M|| near 1e307 the kernel's overflow guard may read up to 2x higher.
-    The sums are formed in the output stack and exponentiated there.
+    The sums are formed chunk by chunk into the walk's buffer.
     """
-    out = np.empty(eff.values.shape, dtype=complex)
-    np.add(eff.values[:-1], eff.values[1:], out=out[1:])
-    return _midpoint_propagators(out[1:], eff.frames.grid.dt / 2, out)
+    values = eff.values
+
+    def summed(c: slice, buf: np.ndarray) -> np.ndarray:
+        return np.add(values[c], values[c.start + 1 : c.stop + 1], out=buf[: c.stop - c.start])
+
+    dt = eff.frames.grid.dt  # the diagonal is not bound here: the walk drops it after its plan
+    return _walk(summed, _real_diagonal(values[:-1]) + _real_diagonal(values[1:]), dt / 2, level)
 
 
 @dataclass(frozen=True)
@@ -144,7 +174,8 @@ def stepping_propagators(spec: HamiltonianSpec, grid: TimeGrid) -> np.ndarray:
     Raises NotHermitianError from spec.sample when a midpoint sample is non-finite or
     not Hermitian, and AdiabaticaError on unitarity drift beyond UNITARITY_RTOL * steps.
     """
-    return _midpoint_propagators(spec.sample(grid.times[:-1] + grid.dt / 2), grid.dt)
+    hams = spec.sample(grid.times[:-1] + grid.dt / 2)
+    return _walk(lambda c, buf: hams[c], _real_diagonal(hams), grid.dt)
 
 
 def propagate(
@@ -194,51 +225,13 @@ def coefficient_propagate(eff: EffectiveHamiltonian, level: int) -> np.ndarray:
 
     Same midpoint-exponential scheme and unitarity check as propagate();
     returns c(t_k) with shape (steps+1, N) starting from the unit vector of
-    the given level (ValueError outside [0, N)). It is column `level` of
-    _coefficient_propagators(eff), bit for bit, but no (K+1, N, N) stack is held.
-    The steps are walked in groups of whole _scan blocks, about BLOCK_BYTES each:
-    the sums M_k + M_{k+1} of a group are exponentiated and checked for drift in
-    chunks of about BLOCK_BYTES / 4, the group is scanned onto the product that ends
-    the group before, and its column kept. The sums are formed twice, once for the
-    step plan's first pass. A group, three chunks, a scan block and the result are
-    all the route holds.
+    the given level (ValueError outside [0, N)). It is column `level` of the
+    coefficient propagators, bit for bit, but no (K+1, N, N) stack is held: a
+    group of about BLOCK_BYTES, two chunk buffers, a scan block and the result
+    are all the route holds (_walk).
     """
     _require_level(level, eff.frames.dim)
-    values, n = eff.values, eff.frames.dim
-    k, size, matrix = len(values) - 1, _scan_size(len(values) - 1), n * n * 16
-    per_group = size * max(1, numerics.BLOCK_BYTES // (size * matrix))
-    per_chunk = min(max(1, numerics.BLOCK_BYTES // 4 // matrix), per_group, k)
-    steps = np.empty((min(per_group, k), n, n), dtype=complex)
-    sums, work, scratch = (np.empty((m, n, n), dtype=complex) for m in (per_chunk, per_chunk, size))
-
-    def spans(start: int, stop: int, length: int) -> list[slice]:
-        return [slice(i, min(i + length, stop)) for i in range(start, stop, length)]
-
-    def summed(c: slice) -> np.ndarray:
-        return np.add(values[c], values[c.start + 1 : c.stop + 1], out=sums[: c.stop - c.start])
-
-    diagonal = values.real[(slice(None), *np.diag_indices(n))]
-    diagonal = diagonal[:-1] + diagonal[1:]
-    plan = StepPlan(
-        eff.frames.grid.dt / 2,
-        diagonal,
-        ((c, summed(c), work[: c.stop - c.start]) for c in spans(0, k, per_chunk)),
-    )
-    del diagonal
-    column = np.empty((k + 1, n), dtype=complex)
-    column[0] = np.eye(n)[level]
-    carry, defects = None, []
-    for g in spans(0, k, per_group):
-        group = steps[: g.stop - g.start]
-        chunks = spans(g.start, g.stop, per_chunk)
-        parts = [(c, group[c.start - g.start : c.stop - g.start]) for c in chunks]
-        for c, part in parts:
-            plan.exp(plan.form(summed(c), c, part), c, (work, sums))
-        carry = _scan(group, size, carry, scratch).copy()
-        defects += [unitarity_defect(part, (sums, work)) for _, part in parts]
-        column[g.start + 1 : g.stop + 1] = group[:, :, level]
-    require_drift(float(np.max(defects)), k, "propagator lost unitarity")
-    return column
+    return _coefficient_propagators(eff, level)
 
 
 def _two_time(stack: np.ndarray, grid: TimeGrid) -> Callable[[float, float], np.ndarray]:

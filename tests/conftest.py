@@ -1,4 +1,5 @@
-"""Shared fixtures: random smooth Hermitian specs with well-separated levels, traced peaks."""
+"""Shared fixtures: random smooth Hermitian specs with well-separated levels, traced peaks,
+and the step kernel over a held stack."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adiabatica import HamiltonianSpec
+from adiabatica import HamiltonianSpec, numerics
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -31,6 +32,21 @@ def random_smooth_spec(rng: np.random.Generator, n: int) -> HamiltonianSpec:
         return base + drive_a * np.cos(nu_a * t + delta) + drive_b * np.sin(nu_b * t)
 
     return HamiltonianSpec(dim=n, evaluate=evaluate)
+
+
+def exp_steps(hams: np.ndarray, s: float, diagonal: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i s (H + H^dagger)/2) for each H of a held (K, N, N) stack: StepPlan's two passes
+    over its blocks of about BLOCK_BYTES. diagonal is the gathered Re H_ii the propagation
+    routes pass (StepPlan's bits depend on its layout), taken from hams if None."""
+    blocks, n = numerics._blocks(hams), hams.shape[-1]
+    if diagonal is None:
+        diagonal = hams.real[(slice(None), *np.diag_indices(n))]
+    out = np.empty(hams.shape, dtype=complex)
+    plan = numerics.StepPlan(s, diagonal, ((b, hams[b], out[b]) for b in blocks))
+    work = [np.empty_like(out[blocks[0]]) for _ in range(2)]
+    for b in blocks:
+        plan.exp(out[b], b, work)
+    return out
 
 
 def traced_peak(call) -> int:

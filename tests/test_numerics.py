@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from adiabatica import AdiabaticaError, TimeGrid, build_frames, max_abs, numerics
 from adiabatica.models import SIGMA_X, SIGMA_Z
-from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, exp_antihermitian_batch, matmul
+from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, matmul
 
-from conftest import random_hermitian, random_smooth_spec
+from conftest import exp_steps, random_hermitian, random_smooth_spec
 
 
 def taylor_expm(H: np.ndarray, s: float, terms: int = 32) -> np.ndarray:
@@ -37,15 +37,15 @@ def test_eig_deterministic(rng):
 
 
 def test_exp_zero_generator():
-    assert np.allclose(exp_antihermitian_batch(np.zeros((1, 3, 3)), 2.7)[0], np.eye(3), atol=1e-15)
+    assert np.allclose(exp_steps(np.zeros((1, 3, 3)), 2.7)[0], np.eye(3), atol=1e-15)
 
 
 def test_exp_sigma_z_pi():
-    assert max_abs(exp_antihermitian_batch(SIGMA_Z[None], np.pi)[0] + np.eye(2)) < 1e-12
+    assert max_abs(exp_steps(SIGMA_Z[None], np.pi)[0] + np.eye(2)) < 1e-12
 
 
 def test_exp_sigma_x_half_pi_vs_taylor_oracle():
-    got = exp_antihermitian_batch(SIGMA_X[None], np.pi / 2)[0]
+    got = exp_steps(SIGMA_X[None], np.pi / 2)[0]
     assert max_abs(got - taylor_expm(SIGMA_X, np.pi / 2)) < 1e-12
     assert max_abs(got - (-1j * SIGMA_X)) < 1e-12
 
@@ -53,14 +53,14 @@ def test_exp_sigma_x_half_pi_vs_taylor_oracle():
 def test_exp_unitarity_random(rng):
     for n in (2, 3, 5, 8):
         H = random_hermitian(rng, n)
-        U = exp_antihermitian_batch(H[None], 0.83)[0]
+        U = exp_steps(H[None], 0.83)[0]
         assert max_abs(U.conj().T @ U - np.eye(n)) < 1e-12
 
 
 def test_exp_semigroup_same_generator(rng):
     H = random_hermitian(rng, 4)
-    lhs = exp_antihermitian_batch(H[None], 0.4)[0] @ exp_antihermitian_batch(H[None], 1.1)[0]
-    rhs = exp_antihermitian_batch(H[None], 1.5)[0]
+    lhs = exp_steps(H[None], 0.4)[0] @ exp_steps(H[None], 1.1)[0]
+    rhs = exp_steps(H[None], 1.5)[0]
     assert max_abs(lhs - rhs) < 1e-11
 
 
@@ -118,7 +118,7 @@ def test_closed_form_two_level_step_matches_eigh(k, scale, dt, identity_share, s
     # identity_share = 1 makes H proportional to I (r = 0): sin(dt r)/r -> dt
     trace = np.einsum("kii->k", hams).real / 2
     hams = identity_share * trace[:, None, None] * np.eye(2) + (1 - identity_share) * hams
-    got = exp_antihermitian_batch(hams, dt)
+    got = exp_steps(hams, dt)
     size = dt * max_abs(hams)
     assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + size)
     assert max_abs(dagger(got) @ got - np.eye(2)) <= 1e-14
@@ -127,9 +127,9 @@ def test_closed_form_two_level_step_matches_eigh(k, scale, dt, identity_share, s
 def test_closed_form_step_at_large_phase_and_zero_field():
     hams = np.array([[[3.0, 1 - 2j], [1 + 2j, -1.0]], [[2.5, 0.0], [0.0, 2.5]]], dtype=complex)
     for dt in (1e-3, 1.0, 1e3 / max_abs(hams)):
-        got = exp_antihermitian_batch(hams, dt)
+        got = exp_steps(hams, dt)
         assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
-    assert max_abs(exp_antihermitian_batch(hams, 0.3)[1] - np.exp(-0.75j) * np.eye(2)) < 1e-15
+    assert max_abs(exp_steps(hams, 0.3)[1] - np.exp(-0.75j) * np.eye(2)) < 1e-15
 
 
 def traceless_one_norm(hams):
@@ -158,7 +158,7 @@ def test_taylor_step_matches_eigh(n, k, x, identity_share, offset, seed):
     hams = identity_share * trace[:, None, None] * np.eye(n) + (1 - identity_share) * hams
     hams += offset * np.eye(n)
     dt = x / traceless_one_norm(hams) if identity_share < 1 else x
-    got = exp_antihermitian_batch(hams, dt)
+    got = exp_steps(hams, dt)
     size = dt * max_abs(hams)
     assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + size)
     assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14
@@ -184,7 +184,7 @@ def test_scaled_taylor_step_matches_eigh(n, k, log_x, identity_share, offset, se
     hams = identity_share * trace[:, None, None] * np.eye(n) + (1 - identity_share) * hams
     hams += offset * np.eye(n)
     dt = x / traceless_one_norm(hams) if identity_share < 1 and n > 1 else x
-    got = exp_antihermitian_batch(hams, dt)
+    got = exp_steps(hams, dt)
     assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
     assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14 * (1 + x)
 
@@ -193,9 +193,7 @@ def test_scaled_taylor_step_matches_eigh(n, k, log_x, identity_share, offset, se
 def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
     # 7 steps in one block, in blocks of one step, and in blocks of 3, 3 and a
     # tail of 1. The last step alone is coarse (x > TAYLOR_MAX_NORM), so every
-    # block must be scaled and squared as often as that one. At each block size the
-    # steps are also written over their own Hamiltonians (out=hams), as the
-    # coefficient route does; the N = 2 closed form too.
+    # block must be scaled and squared as often as that one; the N = 2 closed form too.
     rng = np.random.default_rng(n)
     y = random_complex(rng, (7, n, n))
     hams = (y + dagger(y)) / 2 + 0.3 * np.eye(n)
@@ -203,14 +201,11 @@ def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
     hams[-1] *= 8
     if n > 1:  # at N = 1, H0 = 0 and no step is coarse
         assert dt * traceless_one_norm(hams[:-1]) <= TAYLOR_MAX_NORM < dt * traceless_one_norm(hams[-1:])
-    whole = exp_antihermitian_batch(hams, dt)
+    whole = exp_steps(hams, dt)
     for per_block in (7, 1, 3):
         monkeypatch.setattr(numerics, "BLOCK_BYTES", per_block * 16 * n * n)
         assert len(numerics._blocks(hams)) == -(-7 // per_block)
-        assert np.array_equal(exp_antihermitian_batch(hams, dt), whole)
-        in_place = hams.copy()
-        assert exp_antihermitian_batch(in_place, dt, out=in_place) is in_place
-        assert np.array_equal(in_place, whole)
+        assert np.array_equal(exp_steps(hams, dt), whole)
 
 
 @pytest.mark.parametrize("n, cols", [(1, 1), (2, 2), (3, 1), (3, 3), (8, 3), (8, 8), (16, 16)])
@@ -243,7 +238,7 @@ def test_midpoint_steps_on_both_sides_of_the_taylor_crossover(n):
         dt = 10.0 / steps
         hams = np.stack([spec.evaluate(t) for t in dt * (np.arange(steps) + 0.5)])
         assert bool(dt * traceless_one_norm(hams) <= TAYLOR_MAX_NORM) is taylor
-        got = exp_antihermitian_batch(hams, dt)
+        got = exp_steps(hams, dt)
         assert max_abs(got - eigh_step(hams, dt)) <= 1e-14 * (1 + dt * max_abs(hams))
         assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14
 
@@ -255,7 +250,7 @@ def test_taylor_route_overflow_guard_runs_before_any_arithmetic():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AdiabaticaError, match="step phase overflows"):
-            exp_antihermitian_batch(hams, 1e-10)
+            exp_steps(hams, 1e-10)
 
 
 def test_two_level_step_halves_before_subtracting():
@@ -264,7 +259,7 @@ def test_two_level_step_halves_before_subtracting():
     hams = np.diag([1.7e308, -1.7e308]).astype(complex)[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = exp_antihermitian_batch(hams, 1e-10)
+        got = exp_steps(hams, 1e-10)
     assert np.isfinite(got).all()
     assert max_abs(dagger(got) @ got - np.eye(2)) <= 1e-15
 
@@ -276,14 +271,14 @@ def test_taylor_route_exponentiates_the_hermitian_part():
         residue = np.zeros_like(hams)
         residue[0, 0, 0] = 2e-13j if hams.shape[-1] == 3 else 4e-13j
         for s in (1.0, 100.0, 1000.0):
-            got = exp_antihermitian_batch(hams + residue, s)
+            got = exp_steps(hams + residue, s)
             assert max_abs(dagger(got) @ got - np.eye(hams.shape[-1])) <= 1e-14
     rng = np.random.default_rng(5)
     y = random_complex(rng, (4, 8, 8))
     hams = (y + dagger(y)) / 2
     skew = 1e-13 * (y - dagger(y)) / 2
     for s in (0.1, 30.0):
-        assert np.array_equal(exp_antihermitian_batch(hams + skew, s), exp_antihermitian_batch(hams, s))
+        assert np.array_equal(exp_steps(hams + skew, s), exp_steps(hams, s))
 
 
 def test_both_step_routes_exponentiate_the_same_hermitian_part_at_n2():
@@ -296,8 +291,8 @@ def test_both_step_routes_exponentiate_the_same_hermitian_part_at_n2():
     embedded = np.zeros((32, 3, 3), dtype=complex)
     embedded[:, :2, :2] = hams
     for s in (0.05, 0.7, 3.0):
-        closed = exp_antihermitian_batch(hams, s)
-        taylor = exp_antihermitian_batch(embedded, s)
+        closed = exp_steps(hams, s)
+        taylor = exp_steps(embedded, s)
         assert max_abs(taylor[:, 2, 2] - 1) <= 1e-13
         assert max_abs(closed - taylor[:, :2, :2]) <= 1e-13
         assert max_abs(dagger(closed) @ closed - np.eye(2)) <= 1e-14

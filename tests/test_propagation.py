@@ -30,11 +30,11 @@ from adiabatica import (
 from adiabatica import numerics
 from adiabatica.effective import EffectiveHamiltonian
 from adiabatica.models import SIGMA_X, SIGMA_Z
-from adiabatica.numerics import dagger, exp_antihermitian_batch
-from adiabatica.propagation import _accumulate, _coefficient_propagators, _scan_size
+from adiabatica.numerics import dagger
+from adiabatica.propagation import _coefficient_propagators, _real_diagonal, _scan, _scan_size, _walk
 from adiabatica.spectral import FrameTrajectory, HamiltonianSpec
 
-from conftest import random_hermitian, random_smooth_spec, traced_peak
+from conftest import exp_steps, random_hermitian, random_smooth_spec, traced_peak
 
 
 def exact_initial(params, level):
@@ -87,7 +87,22 @@ def test_static_propagator_single_generator():
     H = 0.8 * SIGMA_Z + 0.4 * SIGMA_X
     grid = TimeGrid(0.0, 2.5, 128)
     result = propagate(HamiltonianSpec(dim=2, evaluate=lambda t: H), grid)
-    assert max_abs(result.propagators[-1] - exp_antihermitian_batch(H[None], 2.5)[0]) < 1e-12
+    assert max_abs(result.propagators[-1] - exp_steps(H[None], 2.5)[0]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "H, s, closed",
+    [
+        (SIGMA_X, np.pi / 2, -1j * SIGMA_X),
+        (np.diag([0.5, -1.0, 2.0]), 2.7, np.diag(np.exp(-2.7j * np.array([0.5, -1.0, 2.0])))),
+    ],
+    ids=["sigma_x", "diagonal-n3"],
+)
+def test_readme_single_exponential_is_one_step(H, s, closed):
+    # README "API changes since 0.1.0": exp(-i s H) of one Hermitian H, for s > 0
+    N = len(H)
+    got = stepping_propagators(HamiltonianSpec(dim=N, evaluate=lambda t: H), TimeGrid(0.0, s, 1))[1]
+    assert max_abs(got - closed) < 1e-14
 
 
 def test_rotating_matches_closed_form_and_converges():
@@ -284,11 +299,20 @@ def test_blocked_accumulate_matches_sequential_loop(n, k, seed):
     # K from 1 covers K below the block size, square K and ragged last blocks.
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
-    # The steps fill out[1:] of the stack scanned in place; out[0] is set, never read.
-    stack = np.concatenate([np.full((1, n, n), np.nan), q])
-    got = _accumulate(stack)
-    assert got is stack and got.shape == (k + 1, n, n)
-    assert max_abs(got - sequential_accumulate(q)) < 1e-12
+    size = _scan_size(k)
+    got = q.copy()
+    last = _scan(got, size, None, np.empty_like(q[:size]))
+    assert np.shares_memory(last, got) and np.array_equal(last, got[-1])
+    assert max_abs(got - sequential_accumulate(q)[1:]) < 1e-12
+    # Two runs of whole blocks, the second onto the last product of the first, give the
+    # bits of one call: the walk scans its groups so. Not at N = 1, where numpy's complex
+    # multiply of contiguous runs rounds some entries differently by the run's length.
+    split = size * int(rng.integers(1, -(-k // size) + 1))
+    if n > 1 and split < k:
+        runs = q.copy()
+        carry = _scan(runs[:split], size, None, np.empty_like(q[:size]))
+        _scan(runs[split:], size, carry, np.empty_like(q[:size]))
+        assert np.array_equal(runs, got)
 
 
 def test_propagate_without_initial_states(rng):
@@ -319,7 +343,7 @@ def test_coefficient_propagate_matches_vector_loop(rng):
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
     mids = 0.5 * (eff.values[:-1] + eff.values[1:])
-    steps = exp_antihermitian_batch(0.5 * (mids + dagger(mids)), grid.dt)
+    steps = exp_steps(0.5 * (mids + dagger(mids)), grid.dt)
     for level in range(4):
         # The vector loop coefficient_propagate used to run, kept as the reference.
         ref = np.empty((grid.steps + 1, 4), dtype=complex)
@@ -361,14 +385,14 @@ def test_step_far_too_coarse_fails_the_drift_check_without_runtime_warning(rng):
 )
 def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect, last_only):
     # Steps that are not unitary (scaled, or NaN) must fail the drift check on
-    # the direct route and on the coefficient route alike. The 32 steps span kernel
-    # blocks of 5, 5, ..., 2, and the streamed coefficient route exponentiates them one
-    # at a time, so a defect of the last step alone reaches the last call only.
+    # the direct route and on the coefficient route alike. Every route walks the 32
+    # steps in groups of 12, 12 and 8, exponentiated in chunks of 3 steps ending in
+    # one of 2, so a defect of the last step alone reaches the last call only.
     spec = random_smooth_spec(rng, 3)
     grid = TimeGrid(0.0, 1.0, 32)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
-    monkeypatch.setattr(numerics, "BLOCK_BYTES", 5 * 16 * 3 * 3)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 12 * 16 * 3 * 3)
     exp = numerics.StepPlan.exp
 
     def defective_steps(plan, blk, b, work):  # every route writes its steps here
@@ -413,58 +437,84 @@ def test_stepping_is_unitary_and_composes_across_blocks(n, steps, per_block, see
 def test_each_route_builds_its_propagators_in_one_stack(n, steps):
     # Traced peaks against S, one (K+1, N, N) complex stack, C, the (K+1, N) column the
     # coefficient route returns, and B = BLOCK_BYTES, the size of every temporary block.
-    # The coefficient route walks its steps in groups of about B and holds no stack: it
-    # reads C + 1.6 B, 1.8 B and 1.8 B at N = 2, 8 and 16 (numpy 2.4, Python 3.11), and
-    # read 2.3, 6.2 and 10.2 MiB when it built the stack, beyond the bound at N = 8 and 16.
-    # The direct route writes its steps into the stack it returns, beside the stack of its
-    # sampled midpoints: 2 S + 1.8 B, 2.6 B and 2.4 B; one that kept its steps in a stack
-    # of their own would read 3 S.
+    # Every route is one walk over groups of about B, formed and exponentiated in chunks
+    # of about B / 4 (numpy 2.4, Python 3.11). The coefficient column holds no stack:
+    # C + 1.6 B, 1.8 B and 1.8 B at N = 2, 8 and 16; it read 2.3, 6.2 and 10.2 MiB when
+    # it built the stack, beyond the bound at N = 8 and 16. The full coefficient stack
+    # forms its sums M_k + M_{k+1} in a chunk buffer: S + 1.1 B, 1.1 B and 1.2 B. The direct
+    # route writes its steps into the stack it returns, beside the stack of its sampled
+    # midpoints: 2 S + 1.1 B, 1.1 B and 1.2 B; one that kept its steps in a stack of their
+    # own would read 3 S.
     spec = random_smooth_spec(np.random.default_rng(7), n)
     grid = TimeGrid(0.0, 10.0, steps)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
     stack, column, block = (steps + 1) * n * n * 16, (steps + 1) * n * 16, numerics.BLOCK_BYTES
     assert traced_peak(lambda: coefficient_propagate(eff, 0)) <= column + 3 * block
+    assert traced_peak(lambda: coefficient_evolution(eff)) <= stack + 3 * block
     assert traced_peak(lambda: stepping_propagators(spec, grid)) <= 2 * stack + 3 * block
 
 
-@settings(max_examples=40, deadline=None)
+def held_route(generators, s, diagonal):
+    """The full-stack route the walk replaced, kept as the reference: StepPlan's two passes
+    over the held generators, then one _scan of the whole stack."""
+    k, n = generators.shape[:2]
+    out = np.empty((k + 1, n, n), dtype=complex)
+    out[0], out[1:] = np.eye(n), exp_steps(generators, s, diagonal)
+    _scan(out[1:], _scan_size(k), None, np.empty_like(out[1:]))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    n=st.sampled_from([2, 3, 8]),
-    k=st.integers(1, 120),
-    blocks_per_group=st.integers(1, 3),
+    n=st.sampled_from([2, 3, 8, 16]),
+    k=st.integers(1, 80),
     per_kernel_block=st.integers(1, 9),
     scale=st.sampled_from([0.1, 3.0, 300.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=13, blocks_per_group=1, per_kernel_block=4, scale=3.0, seed=1)
-@example(n=8, k=1, blocks_per_group=1, per_kernel_block=1, scale=300.0, seed=2)
-@example(n=2, k=13, blocks_per_group=3, per_kernel_block=1, scale=0.1, seed=3)
-def test_streamed_coefficient_route_is_the_column_of_the_stack(
-    n, k, blocks_per_group, per_kernel_block, scale, seed
-):
-    # The streamed walk must give each step the arithmetic the full-stack route gives it:
-    # the trace means from the whole diagonal, one q and d for the stack, the same scan
-    # blocks. K = 13 ends in a one-step scan block, and at one block per group in a
-    # one-step group; K = 1 is one step. BLOCK_BYTES sets the groups (whole scan blocks,
-    # about BLOCK_BYTES each), their chunks (about BLOCK_BYTES / 4, down to one step) and
-    # the full-stack kernel's blocks, which are resized to per_kernel_block matrices in
-    # turn; scale 300 makes steps coarse enough to be scaled and squared.
+@example(n=3, k=13, per_kernel_block=4, scale=3.0, seed=1)
+@example(n=8, k=1, per_kernel_block=1, scale=300.0, seed=2)
+@example(n=2, k=13, per_kernel_block=1, scale=0.1, seed=3)
+@example(n=16, k=50, per_kernel_block=3, scale=3.0, seed=4)
+def test_walk_gives_the_bits_of_the_held_stack_route(n, k, per_kernel_block, scale, seed):
+    # The walk must give each step the arithmetic the held-stack route gave it: the trace
+    # means from the same gathered diagonal, one q and d for the stack, the same scan
+    # blocks. Both sources are checked, the sampled H of stepping_propagators and the sums
+    # M_k + M_{k+1} of the coefficient routes, as the whole stack and as every column.
+    # K = 13 ends in a one-step scan block; K = 1 is one step. BLOCK_BYTES sets the walk's
+    # groups (whole scan blocks, about BLOCK_BYTES each) and chunks (about BLOCK_BYTES / 4,
+    # down to one step): one matrix, one and three scan blocks, and the default are walked.
+    # The reference's kernel blocks are per_kernel_block matrices; scale 300 makes steps
+    # coarse enough to be scaled and squared.
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(k + 1, n, n)) + 1j * rng.normal(size=(k + 1, n, n))
+    hams = scale * (y[:-1] + dagger(y[:-1])) / 2
     values = scale * ((y + dagger(y)) / 2 + 1e-3 * (y - dagger(y)) / 2)
     grid = TimeGrid(0.0, 1.0, k)
+    index = (slice(None), *np.diag_indices(n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "BLOCK_BYTES", per_kernel_block * n * n * 16)
+        stepping = held_route(hams, grid.dt, hams.real[index])
+        diagonal = values.real[index]
+        coefficient = held_route(values[:-1] + values[1:], grid.dt / 2, diagonal[:-1] + diagonal[1:])
+
+    def sampled(t):  # H at the midpoints of the grid: row k at t_k + dt/2
+        return hams[np.rint(np.asarray(t) / grid.dt - 0.5).astype(int)]
+
+    spec = HamiltonianSpec(dim=n, evaluate=sampled, batched=True)
     frames = FrameTrajectory(grid, np.zeros((k + 1, n)), np.broadcast_to(np.eye(n), (k + 1, n, n)))
     eff = EffectiveHamiltonian(values, frames)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "BLOCK_BYTES", blocks_per_group * _scan_size(k) * n * n * 16)
-        streamed = [coefficient_propagate(eff, level) for level in range(n)]
-        stacks = [_coefficient_propagators(eff)]
-        patch.setattr(numerics, "BLOCK_BYTES", per_kernel_block * n * n * 16)
-        stacks.append(_coefficient_propagators(eff))
-    for stack in stacks:
-        for level in range(n):
-            assert np.array_equal(streamed[level], stack[:, :, level])
+    matrix, size = n * n * 16, _scan_size(k)
+    for block_bytes in (matrix, size * matrix, 3 * size * matrix, numerics.BLOCK_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "BLOCK_BYTES", block_bytes)
+            assert np.array_equal(stepping_propagators(spec, grid), stepping)
+            assert np.array_equal(_coefficient_propagators(eff), coefficient)
+            for level in range(n):
+                column = _walk(lambda c, buf: hams[c], _real_diagonal(hams), grid.dt, level)
+                assert np.array_equal(column, stepping[:, :, level])
+                assert np.array_equal(coefficient_propagate(eff, level), coefficient[:, :, level])
 
 
 def landau_zener_spec(gap: float, rate: float = 1.0) -> HamiltonianSpec:

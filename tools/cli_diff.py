@@ -20,14 +20,15 @@ sha256 digest of every array they return, of the two maxima of
 alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the system's
 frames (vectors, and derivatives when present), and of
 `ms_inconsistency_probe` at level 0 (chain and residual), and the peak bytes
-tracemalloc traced while `analyse` ran and while `criteria` and
+tracemalloc traced while `analyse` ran, while `criteria` and
 `coefficient_propagate` (level 0) each ran alone on the system's effective
-Hamiltonian.
+Hamiltonian, and while `stepping_propagators` ran alone on the system.
 
 Prints the runs that differ, the analyses whose arrays differ, and both
 counts; exits 1 when any differ. It also prints each analysis's traced peaks
-in both trees ("peak OLD → NEW MiB", "criteria peak OLD → NEW MiB" and
-"coefficient peak OLD → NEW MiB"), which are never counted as differences.
+in both trees ("peak OLD → NEW MiB", "criteria peak OLD → NEW MiB",
+"coefficient peak OLD → NEW MiB" and "stepping peak OLD → NEW MiB"), which are
+never counted as differences.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def analytic_systems(ad) -> list:
 
 def analyses() -> dict:
     """{analysis: {"digests": {array: sha256}, "peak": bytes, "criteria peak": bytes,
-    "coefficient peak": bytes}} for the lib_systems of every seed and the analytic
-    systems, from the imported tree."""
+    "coefficient peak": bytes, "stepping peak": bytes}} for the lib_systems of every
+    seed and the analytic systems, from the imported tree."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
 
@@ -104,6 +105,7 @@ def analyses() -> dict:
         eff = ad.build_effective(frames, conn)
         _, criteria_peak = traced(lambda: ad.criteria(eff))
         _, coefficient_peak = traced(lambda: ad.coefficient_propagate(eff, 0))
+        _, stepping_peak = traced(lambda: ad.stepping_propagators(system.spec, system.grid))
         transported = ad.parallel_transport(frames, conn)
         probe = ad.ms_inconsistency_probe(system.spec, system.grid, 0)
         report, result = analysis.report, analysis.result
@@ -131,6 +133,7 @@ def analyses() -> dict:
             "peak": peak,
             "criteria peak": criteria_peak,
             "coefficient peak": coefficient_peak,
+            "stepping peak": stepping_peak,
         }
     return out
 
@@ -189,7 +192,7 @@ def analysis_differences(old_src: str, new_src: str) -> int:
             parts = [k for k in {**a, **b} if a.get(k) != b.get(k)]
             print(f"differs: {label}: {', '.join(parts)}")
     for label in labels:  # informational: memory is no output
-        for peak in ("peak", "criteria peak", "coefficient peak"):
+        for peak in ("peak", "criteria peak", "coefficient peak", "stepping peak"):
             old_mib, new_mib = (
                 f"{side[label][peak] / 2**20:.1f}" if peak in side.get(label, {}) else "?"
                 for side in (old, new)
