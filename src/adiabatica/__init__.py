@@ -6,14 +6,15 @@ adiabaticity, propagates exact dynamics, and extracts geometric phases and
 holonomies. Ships exactly solvable driven two-level models and a CLI.
 
 Each module declares its public names in its own __all__; this package
-republishes them all. A name is bound on first access (PEP 562), importing
+republishes them all, once each (models also lists the names it takes from
+closed_form). A name is bound on first access (PEP 562), importing
 modules in _MODULES order until one exports it, so importing the package or
 one of its modules loads only what that code imports.
 """
 
 from importlib import import_module as _import_module
 
-_MODULES = ("errors", "numerics", "spectral", "models", "effective", "propagation", "phases")
+_MODULES = ("errors", "closed_form", "numerics", "spectral", "models", "effective", "propagation", "phases")
 
 __version__ = "0.1.0"
 
@@ -29,7 +30,7 @@ def __getattr__(name: str):
         public += module.__all__
     if name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = public = sorted(public)
+    globals()[name] = public = sorted(set(public))
     return public
 
 

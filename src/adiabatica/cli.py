@@ -8,7 +8,8 @@ failure (non-finite or non-Hermitian input, a non-finite or non-orthonormal
 analytic frame, a propagator or phase that overflows, an eigenvalue crossing,
 or a grid too coarse to follow the eigenvectors). An output is formatted in full,
 "%.17g" at about 0.4 us per float, before it is written in fragments of about
-4,096 floats, never joined into one string.
+4,096 floats, never joined into one string. numpy loads in the functions that use
+it: sweep, --help and a config that cannot be read start without it.
 """
 
 from __future__ import annotations
@@ -25,22 +26,15 @@ from functools import partial
 from itertools import combinations
 from typing import Optional
 
-import numpy as np
-
-from .errors import AdiabaticaError, NonCyclicWarning
-from .models import (
+from .closed_form import (
     MSSecondModelParams,
     RotatingModelParams,
-    barred_model,
+    _is_integer,
     mixing_angle,
-    ms_candidate_evolution,
-    ms_second_model,
     rotating_dynamical_phase,
     rotating_geometric_phase,
-    rotating_model,
 )
-from .numerics import BLOCK_BYTES, _blocks
-from .spectral import TimeGrid, _is_integer, build_frames, connection
+from .errors import AdiabaticaError, NonCyclicWarning
 
 TOP_KEYS = {"command", "model", "grid", "epsilon", "energy_offset", "output", "format", "seed", "sweep"}
 MODEL_KEYS = {  # the keys of each model block; a block naming no model may hold any of them
@@ -59,7 +53,7 @@ def _json_float(x: float) -> str:
 
 
 def _float_block(
-    block: np.ndarray, first: str, lead: str, sep: str, tail: str, json_floats: bool = False
+    block, first: str, lead: str, sep: str, tail: str, json_floats: bool = False
 ) -> list[str]:
     """Every row of a 2-D float array as lead + sep-joined floats + tail, with first in
     place of lead on the first row, in row chunks of about BLOCK_BYTES / 32 of doubles
@@ -68,6 +62,8 @@ def _float_block(
     One bulk "%.17g" pass per chunk gives each float the bytes of format(x, ".17g");
     with json_floats, non-finite values become Infinity, -Infinity and NaN.
     """
+    import numpy as np
+    from .numerics import BLOCK_BYTES, _blocks
     parts = []
     for rows in _blocks(block, BLOCK_BYTES // 32):
         chunk = block[rows]
@@ -93,7 +89,8 @@ def _to_json(obj, pad: str = "", out: Optional[list] = None, head: str = "") -> 
     """
     out = [] if out is None else out
     inner = pad + "  "
-    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
+    np = sys.modules.get("numpy")  # no value is a numpy array or scalar before numpy loads
+    if np and isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
         if not len(obj):
             out.append(head + "[]")
             return out
@@ -115,7 +112,7 @@ def _to_json(obj, pad: str = "", out: Optional[list] = None, head: str = "") -> 
             _to_json(value, inner, out, opening + inner + name)
             opening = ",\n"
         out.append("\n" + pad + ("}" if is_dict else "]"))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float) or np and isinstance(obj, np.floating):
         out.append(head + _json_float(float(obj)))
     else:
         out.append(head + json.dumps(obj))
@@ -123,14 +120,15 @@ def _to_json(obj, pad: str = "", out: Optional[list] = None, head: str = "") -> 
 
 
 def _to_csv(header: list[str], rows) -> list[str]:
-    """CSV text as fragments; rows is a 2-D float array or a list of mixed-type rows."""
-    if isinstance(rows, np.ndarray):
+    """CSV text as fragments; rows is a list of mixed-type rows or a 2-D float array."""
+    if not isinstance(rows, list):
         return [",".join(header) + "\n", *_float_block(rows, "", "", ",", "\n")]
+    np = sys.modules.get("numpy")  # no value is a numpy scalar before numpy loads
 
     def render(v) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
-        if isinstance(v, (float, np.floating)):
+        if isinstance(v, float) or np and isinstance(v, np.floating):
             return "%.17g" % v
         return str(v)
 
@@ -232,6 +230,7 @@ def validate(config: dict, command: str) -> list[str]:
         if not _is_integer(steps) or not 16 <= steps <= MAX_STEPS:
             out.append("steps must be an integer in [16, 2**20]")
         else:
+            from .spectral import TimeGrid
             t_start, t_end = _float(grid.get("t_start")), _float(grid.get("t_end"))
             # barred_model also builds the grid at half steps; if that one holds, so does this
             built = 2 * steps if name == "barred_rotating" else steps
@@ -257,6 +256,8 @@ def validate(config: dict, command: str) -> list[str]:
 
 def _build(config: dict):
     """(grid, spec, params) of a validated config."""
+    from .models import barred_model, ms_second_model, rotating_model
+    from .spectral import TimeGrid
     g, model = config["grid"], config["model"]
     grid = TimeGrid(t_start=float(g["t_start"]), t_end=float(g["t_end"]), steps=int(g["steps"]))
     if model["model"] == "ms_second":
@@ -268,6 +269,7 @@ def _build(config: dict):
 
 
 def _frames_pipeline(config: dict):
+    from .spectral import build_frames, connection
     grid, spec, params = _build(config)
     frames = build_frames(spec, grid)
     conn = connection(frames)
@@ -275,6 +277,7 @@ def _frames_pipeline(config: dict):
 
 
 def run_simulate(config: dict):
+    import numpy as np
     from .effective import accumulate_trapezoid, geometric_phase
     from .propagation import propagate
     grid, spec, _, frames, conn = _frames_pipeline(config)
@@ -327,6 +330,7 @@ def run_holonomy(config: dict):
 
 
 def run_ms_probe(config: dict):
+    import numpy as np
     from .phases import ms_inconsistency_probe
     grid, spec, _ = _build(config)
     level = 0
@@ -350,7 +354,9 @@ def run_ms_probe(config: dict):
 
 
 def run_composition_check(config: dict):
+    import numpy as np
     from .effective import build_effective
+    from .models import ms_candidate_evolution
     from .propagation import coefficient_evolution, composition_check, propagate, stepping_evolution
     grid, spec, params, frames, conn = _frames_pipeline(config)
     times = grid.times
@@ -368,13 +374,17 @@ def run_composition_check(config: dict):
     return payload, list(deviations), [list(deviations.values())]
 
 
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """np.linspace(start, stop, points >= 2) bit for bit, unless its step underflows to 0."""
+    step = (stop - start) / (points - 1)
+    return [i * step + start for i in range(points - 1)] + [stop]
+
+
 def run_sweep(config: dict):
     model = config["model"]
     mu_B, theta = float(model["mu_B"]), float(model["theta"])
     sweep = {**SWEEP_DEFAULTS, **config.get("sweep", {})}
     lo, hi = float(sweep["ratio_min"]), float(sweep["ratio_max"])
-    # logspace can overshoot hi by an ulp, past the ratio that validate() checked
-    ratios = np.clip(np.logspace(math.log10(lo), math.log10(hi), sweep["points"]), lo, hi)
 
     header = [
         "ratio", "omega", "alpha",
@@ -382,24 +392,38 @@ def run_sweep(config: dict):
         "dynamical_phase_plus", "dynamical_phase_minus",
     ]
     rows = []
-    for r in ratios:
-        params = RotatingModelParams(mu_B=mu_B, theta=theta, omega=float(r * mu_B))
+    for y in _linspace(math.log10(lo), math.log10(hi), sweep["points"]):
+        try:  # clipped: a power can overshoot hi by an ulp, past the ratio validate() checked
+            r = min(max(10.0**y, lo), hi)
+        except OverflowError:  # np.logspace gave inf here, which np.clip took to hi
+            r = hi
+        params = RotatingModelParams(mu_B=mu_B, theta=theta, omega=r * mu_B)
         rows.append(
-            [float(r), params.omega, mixing_angle(params)]
+            [r, params.omega, mixing_angle(params)]
             + [rotating_geometric_phase(params, n) for n in (0, 1)]
             + [rotating_dynamical_phase(params, n) for n in (0, 1)]
         )
-    rows = np.array(rows)
     payload = {"command": "sweep", "mu_B": mu_B, "theta": theta, "columns": header, "rows": rows}
     return payload, header, rows
 
 
+def _ignoring_float_errors(runner):
+    """runner under np.errstate(all="ignore"): overflow and NaN in arrays exit 3, not warn."""
+
+    def run(config: dict):
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return runner(config)
+
+    return run
+
+
 RUNNERS = {
-    "simulate": run_simulate,
-    "criteria": run_criteria,
-    "holonomy": run_holonomy,
-    "ms-probe": run_ms_probe,
-    "composition-check": run_composition_check,
+    "simulate": _ignoring_float_errors(run_simulate),
+    "criteria": _ignoring_float_errors(run_criteria),
+    "holonomy": _ignoring_float_errors(run_holonomy),
+    "ms-probe": _ignoring_float_errors(run_ms_probe),
+    "composition-check": _ignoring_float_errors(run_composition_check),
     "sweep": run_sweep,
 }
 COMMANDS = tuple(RUNNERS)
@@ -453,9 +477,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.verbose:
         print(f"adiabatica: running {args.command}", file=sys.stderr)
     try:
-        # Overflow and NaN surface as a numerical error (exit 3), not as RuntimeWarnings;
-        # other warnings print after a successful run, one line per distinct message.
-        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        # Warnings print after a successful run, one line per distinct message.
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NonCyclicWarning)  # also on a repeated in-process run
             payload, header, rows = RUNNERS[args.command](config)
     except AdiabaticaError as exc:
@@ -486,8 +509,10 @@ def console() -> None:
     """The `adiabatica` command: main() after freezing the heap the imports made.
 
     gc.freeze() moves those objects to the permanent generation, which the
-    collections at interpreter exit skip; they live until exit anyway. main()
-    itself leaves the garbage collector alone, so callers keep their own heap.
+    collections at interpreter exit skip; they live until exit anyway. A second
+    freeze after main() does the same for what the run imported (numpy, in the
+    commands that compute with arrays) and made. main() itself leaves the
+    garbage collector alone, so callers keep their own heap.
 
     When stdout could not be written, the unwritten bytes stay in its buffer
     and the flush at exit would fail again, report it and exit 120 instead;
@@ -495,6 +520,7 @@ def console() -> None:
     """
     gc.freeze()
     code = main()
+    gc.freeze()
     try:
         sys.stdout.flush()
     except OSError:

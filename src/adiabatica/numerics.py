@@ -54,11 +54,12 @@ def dagger(stack: np.ndarray) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b over stacks of matrices, broadcast as np.matmul does; out must not overlap a or b.
 
-    Up to a contracted size of SMALL_PRODUCT_MAX_N it sums elementwise products:
-    there np.matmul's one BLAS call per matrix costs more than the arithmetic.
+    From a contracted size of 2 up to SMALL_PRODUCT_MAX_N it sums elementwise products:
+    there np.matmul's one BLAS call per matrix costs more than the arithmetic. At 1 that
+    is one multiply over a contiguous run, which numpy rounds by the run's length.
     """
     n = a.shape[-1]
-    if n > SMALL_PRODUCT_MAX_N:
+    if n == 1 or n > SMALL_PRODUCT_MAX_N:
         return np.matmul(a, b, out=out)
     # out[..., i, l] = sum over j of a[..., i, j] * b[..., j, l], one j at a time
     out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
@@ -252,9 +253,16 @@ class StepPlan:
             # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
             sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
             phase = np.exp(-1j * s * m)
-            cos, off = phase * np.cos(s * r), -1j * phase * sinc
-            blk[:, 0, 0], blk[:, 1, 1] = cos + off * z, cos - off * z
-            blk[:, 1, 0], blk[:, 0, 1] = off * h10, off * h10.conj()
+            del m  # each K-length temporary goes after its last use
+            cos = phase * np.cos(s * r)
+            del r
+            off = -1j * phase * sinc
+            del phase, sinc
+            blk[:, 0, 0] = cos + off * z
+            blk[:, 1, 1] = cos - off * z
+            del cos, z
+            blk[:, 1, 0] = off * h10
+            blk[:, 0, 1] = off * h10.conj()
             return blk
         p, buffer = (w[: len(blk)] for w in work)
         q, d = self.q, self.d

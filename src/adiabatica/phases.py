@@ -14,6 +14,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
+from .closed_form import _require_level
 from .effective import accumulate_trapezoid, build_effective, geometric_phase
 from .errors import NonCyclicWarning
 from .numerics import matmul, max_abs
@@ -24,7 +25,6 @@ from .spectral import (
     HamiltonianSpec,
     TimeGrid,
     _require_grid,
-    _require_level,
     build_frames,
     connection,
 )

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .closed_form import _require_level
 from .effective import EffectiveHamiltonian
 from . import numerics
 from .numerics import (
@@ -34,7 +35,6 @@ from .spectral import (
     HamiltonianSpec,
     TimeGrid,
     _require_grid,
-    _require_level,
     build_frames,
 )
 

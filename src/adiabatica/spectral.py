@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .closed_form import _is_integer
 from .errors import AdiabaticaError, EigenGapTooSmallError, GridMismatchError
 from .numerics import dagger_matmul, eigh_batch, max_abs, require_hermitian_batch, require_unitary
 
@@ -26,11 +27,6 @@ __all__ = [
 ]
 
 GAP_FLOOR_RTOL = 1e-10
-
-
-def _is_integer(x) -> bool:
-    """An int or a numpy integer, and not a bool: the one test of every integer argument."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -150,12 +146,6 @@ def _require_grid(frames: FrameTrajectory, grid: TimeGrid) -> None:
     """GridMismatchError unless the frames were built on grid."""
     if frames.grid != grid:
         raise GridMismatchError(f"frames on {frames.grid} used with {grid}")
-
-
-def _require_level(level, dim: int) -> None:
-    """ValueError unless level is an integer, not a bool, in [0, dim)."""
-    if not _is_integer(level) or not 0 <= level < dim:
-        raise ValueError(f"level must be an integer in [0, {dim}), not {level!r}")
 
 
 @dataclass(frozen=True)

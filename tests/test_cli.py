@@ -2,10 +2,12 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adiabatica.cli import COMMANDS, main, validate
+from adiabatica.cli import COMMANDS, SWEEP_DEFAULTS, _linspace, main, run_sweep, validate
 from adiabatica.errors import EigenGapTooSmallError
 
 
@@ -230,6 +232,42 @@ def test_sweep_command_monotone_csv(tmp_path):
     assert abs(phases[-1] - 2 * np.pi) < 5e-3
     assert np.all(np.diff(phases) > 0)
     assert np.max(np.abs(np.diff(phases))) < 0.2
+
+
+def test_sweep_ratios_are_the_correctly_rounded_powers():
+    # The default grid: each ratio is 10**y rounded once (50 exact digits, then to a double),
+    # and within an ulp of numpy's logspace, whose power may land a little farther away.
+    _, _, rows = run_sweep({"model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0}})
+    lo, hi, points = SWEEP_DEFAULTS.values()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = [float(Decimal(10) ** Decimal(y)) for y in _linspace(math.log10(lo), math.log10(hi), points)]
+    ratios = [row[0] for row in rows]
+    assert ratios == [min(max(x, lo), hi) for x in exact]
+    numpy = np.clip(np.logspace(math.log10(lo), math.log10(hi), points), lo, hi)
+    assert all(abs(r - x) <= math.ulp(x) for r, x in zip(ratios, numpy))
+
+
+def test_sweep_power_overflowing_past_ratio_max_gives_ratio_max(tmp_path):
+    # 10**log10(max float) overflows, where numpy gave inf and clipped it to ratio_max.
+    config = {
+        "model": {"model": "rotating", "mu_B": 1e-300, "theta": 1.0},
+        "sweep": {"ratio_min": 1.0, "ratio_max": 1.7976931348623157e308, "points": 3},
+        "format": "csv",
+    }
+    with pytest.raises(OverflowError):
+        10.0 ** math.log10(config["sweep"]["ratio_max"])
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, config), "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].split(",")[0] == "1.7976931348623157e+308"
+
+
+def test_linspace_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        start, stop = rng.uniform(-1, 1, 2) * 10.0 ** rng.integers(-20, 308, 2)
+        points = int(rng.integers(2, 200))
+        assert np.array_equal(_linspace(start, stop, points), np.linspace(start, stop, points))
 
 
 def test_composition_check_command(tmp_path, capsys):
@@ -525,6 +563,23 @@ def test_library_import_leaves_gc_state_unchanged():
     assert proc.stdout.split() == ["0", "True"]
 
 
+def test_console_freezes_what_the_run_imported(tmp_path):
+    # numpy loads inside a criteria run, after the freeze at start; the second freeze keeps
+    # its about 8,000 objects out of the exit collections too (about 600 stay tracked).
+    path = write_config(tmp_path, rotating_config())
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(len(gc.get_objects()), 'numpy' in sys.modules, file=sys.stderr))\n"
+        "from adiabatica.cli import console\n"
+        f"sys.argv = ['adiabatica', 'criteria', '--config', {path!r}, '--output', {str(tmp_path / 'out')!r}]\n"
+        "console()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    tracked, numpy = proc.stderr.split()
+    assert numpy == "True" and int(tracked) < 2000
+
+
 def entry_point_matches_main(tmp_path, capsys, config, code):
     """`python -m adiabatica.cli` and in-process main() give the same exit code, stdout
     and stderr, and main() leaves the caller's garbage collector as it found it."""
@@ -651,7 +706,8 @@ def test_ms_second_regime_mismatch_is_a_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-BASE_MODULES = {"cli", "errors", "numerics", "spectral", "models"}  # validation and the frames
+CLOSED_FORM = {"cli", "errors", "closed_form"}  # the sweep's modules: math only, no numpy
+BASE_MODULES = CLOSED_FORM | {"numerics", "spectral", "models"}  # validation and the frames
 BARRED = {"model": "barred_rotating", "mu_B": 1.0, "theta": 1.0, "omega": 1e-3}
 MS_SECOND = {
     "model": {"model": "ms_second", "omega0": 4 * np.pi, "tau": 1.0},
@@ -659,10 +715,27 @@ MS_SECOND = {
 }
 
 
+def loaded_after(argv: list[str]) -> list[str]:
+    """The exit code, whether scipy and numpy were imported, and the package's modules in
+    sys.modules, after main(argv) ran in a fresh interpreter (--help exits through SystemExit)."""
+    code = (
+        "import sys; from adiabatica.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "names = sorted(m for m in sys.modules if m.startswith('adiabatica'))\n"
+        "print(code, 'scipy' in sys.modules, 'numpy' in sys.modules, *names, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1].split()
+
+
 @pytest.mark.parametrize(
     "command, config, loaded",
     [
-        ("sweep", {"model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0}}, BASE_MODULES),
+        ("sweep", {"model": {"model": "rotating", "mu_B": 1.0, "theta": 1.0}}, CLOSED_FORM),
         ("criteria", rotating_config(), BASE_MODULES | {"effective"}),
         ("criteria", rotating_config(model=BARRED), BASE_MODULES | {"effective", "propagation"}),
         ("composition-check", MS_SECOND, BASE_MODULES | {"effective", "propagation"}),
@@ -674,16 +747,28 @@ MS_SECOND = {
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, config, loaded):
     """A fresh process running one command imports the package's modules that command
-    runs and no others, and never scipy."""
+    runs and no others, never scipy, and numpy only for a command that computes with arrays."""
     path = write_config(tmp_path, {**config, "command": command})
-    code = (
-        "import sys; from adiabatica.cli import main; "
-        f"code = main([{command!r}, '--config', {path!r}, '--output', {str(tmp_path / 'out')!r}]); "
-        "print(code, 'scipy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('adiabatica')))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False", "adiabatica", *sorted(f"adiabatica.{m}" for m in loaded)]
+    argv = [command, "--config", path, "--output", str(tmp_path / "out")]
+    numpy = str(command != "sweep")
+    assert loaded_after(argv) == ["0", "False", numpy, "adiabatica", *sorted(f"adiabatica.{m}" for m in loaded)]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], "0"),
+        (["simulate", "--help"], "0"),
+        (["criteria", "--config", "{tmp}/missing.json"], "2"),
+        (["simulate", "--config", "{tmp}/malformed.json"], "2"),
+    ],
+    ids=["help", "command-help", "missing-config", "malformed-config"],
+)
+def test_help_and_unreadable_configs_start_without_numpy(tmp_path, argv, code):
+    (tmp_path / "malformed.json").write_text("{", encoding="utf-8")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    expected = [code, "False", "False", "adiabatica", *sorted(f"adiabatica.{m}" for m in CLOSED_FORM)]
+    assert loaded_after(argv) == expected
 
 
 def test_csv_floats_have_17_significant_digits(tmp_path):
@@ -783,7 +868,7 @@ def configs(command):
         },
     )
 )
-@example(  # logspace overshoots ratio_max by an ulp, and mu_B * 9.777052685893052 overflows
+@example(  # np.logspace overshot ratio_max by an ulp, and mu_B * 9.777052685893052 overflows
     (
         "sweep",
         {

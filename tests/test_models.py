@@ -242,7 +242,7 @@ def test_ms_params_validation():
     assert params.omega_0 == pytest.approx(20.0)
 
 
-@pytest.mark.parametrize("n", [True, 2.0])
+@pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, np.float64(2.0)])
 def test_ms_params_reject_a_regime_n_that_is_not_an_integer(n):
     # omega = 1, so omega_0 = 2 n holds for the value n stands for: the type alone decides.
     with pytest.raises(ValueError, match="^regime_n must be an integer if given$"):
