@@ -1,11 +1,12 @@
 """Dense complex linear-algebra kernels for small Hermitian stacks (N <= 16).
 
-The step kernel, dagger_matmul, eigh_batch and the stack checks stream a
-(K, N, N) stack through consecutive blocks of BLOCK_BYTES or less, so a block's
-working set stays in cache and no kernel holds a stack beside its input and
-output, only a few blocks. Every matrix gets the same arithmetic in the same
-order whatever the blocks, so no result depends on the block size, bit for bit:
-eigh_batch's are np.linalg.eigh's.
+dagger_matmul, eigh_batch and the stack checks stream a (K, N, N) stack through
+consecutive blocks of BLOCK_BYTES or less, so a block's working set stays in
+cache and no kernel holds a stack beside its input and output, only a few
+blocks. Every matrix gets the same arithmetic in the same order whatever the
+blocks, so their results do not depend on the block size, bit for bit:
+eigh_batch's are np.linalg.eigh's. The step kernel, exp_steps, takes one chunk
+of a stack and picks its scaling and Taylor degree from that chunk alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +128,8 @@ def require_hermitian_batch(hams: np.ndarray) -> None:
     The tolerance is HERMITICITY_RTOL * ||stack||_max. HamiltonianSpec.sample is
     the one caller: every H enters the library there.
     """
-    scale, defect = _max_over_blocks(hams, lambda h: (max_abs(h), max_abs(h - dagger(h))))
+    with np.errstate(over="ignore"):  # an infinite defect fails the check
+        scale, defect = _max_over_blocks(hams, lambda h: (max_abs(h), max_abs(h - dagger(h))))
     if not np.isfinite(scale) or defect > HERMITICITY_RTOL * scale:
         raise NotHermitianError(
             f"non-finite or non-Hermitian samples: defect {defect:.3e} vs scale {scale:.3e}"
@@ -168,114 +170,77 @@ def _taylor_degree(x: float) -> int:
     return d
 
 
-class StepPlan:
-    """exp(-i s (H + H^dagger)/2) for the K steps of a (K, N, N) stack H met block by block.
+def exp_steps(
+    hams: np.ndarray, s: float, out: np.ndarray, work: Sequence[np.ndarray]
+) -> np.ndarray:
+    """exp(-i s (H + H^dagger)/2) for each H of a (c, N, N) chunk, into out; returns out.
 
-    A block's steps take two calls: form writes its generator, exp turns that into
-    the steps in place. At N = 2 the generator is H itself and exp a closed form.
-    Every other N takes a Taylor series: H = m I + H0 with m = tr(H)/N, so
-    exp(-i s H) = e^{-i s m} exp(A), the generator A = -i s H0. Only the Hermitian
-    part is exponentiated, the matrix the sampling check accepted, so a residue
-    within HERMITICITY_RTOL cannot grow with |s|. A is halved q times, the fewest
-    with x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1 over the stack, and summed
-    by Horner's rule at one degree d = _taylor_degree(x / 2^q). Building the plan is
-    a first pass over the blocks that fixes m, q and d for the stack, so each step
-    gets the same arithmetic in the same order whatever the blocks, bit for bit.
+    out must not overlap hams. work is two buffers at least c long; they may overlap
+    hams, which is read in full before either is written. Before any arithmetic,
+    AdiabaticaError is raised unless |s| N ||H||_max, a bound on every phase s w, is
+    finite, and off N = 2 also 2 max(|s|, 1) N ||H||_max, as entries of H - tr(H)/N
+    reach 2 ||H||_max; so a non-finite chunk fails too.
+
+    At N = 2 the Hermitian part is m I + r . sigma, read from the real diagonal and the
+    mean of H_10 and conj(H_01), and the step e^{-i s m} [cos(s |r|) I - i sin(s |r|)
+    r/|r| . sigma]. Every other N takes a Taylor series: H = m I + H0 with m = tr(H)/N,
+    so exp(-i s H) = e^{-i s m} exp(A), A = -i s H0 formed in out. Only the Hermitian
+    part is exponentiated, the matrix the sampling check accepted, so a residue within
+    HERMITICITY_RTOL cannot grow with |s|. A is halved q times, the fewest with
+    x / 2^q <= TAYLOR_MAX_NORM, x = |s| max ||H0||_1 over the chunk, and summed by
+    Horner's rule P <- A P + I/j! at degree d = _taylor_degree(x / 2^q), then squared q
+    times P <- P P (each doubles the rounding), through matmul between the two buffers.
+    So q and d are the chunk's: a chunk of finer steps takes fewer products.
     """
-
-    def __init__(
-        self,
-        s: float,
-        diagonal: np.ndarray,
-        blocks: Iterable[tuple[slice, np.ndarray, np.ndarray]],
-    ) -> None:
-        """diagonal is Re H_ii of the whole stack, (K, N); blocks yields (b, H[b], out).
-
-        Before any arithmetic on a block, AdiabaticaError is raised unless |s| N ||H||_max,
-        a bound on every phase s w, is finite, and off N = 2 also 2 max(|s|, 1) N ||H||_max,
-        as entries of H - tr(H)/N reach 2 ||H||_max; so a non-finite block fails too.
-        Then its generator is formed into out (form).
-        """
-        self.s, n = float(s), diagonal.shape[-1]
-        self.m = self.phase = None
-        if n != 2:
-            # m from the whole gathered diagonal, 2 Re H_ii exactly: numpy sums a (K, N)
-            # array in an order that differs between K = 1 and K > 1, so per block a
-            # one-matrix tail would change bits. Divided first: no overflow near the float
-            # range; an overflow here comes with a non-finite guard bound, which raises.
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.m = (2 * diagonal / (2 * n)).sum(axis=1)
-        x, s_abs = 0.0, abs(self.s)
-        for b, h, out in blocks:
-            scale = max_abs(h)
-            bound = s_abs * n * scale if n == 2 else 2 * max(s_abs, 1.0) * n * scale
-            if not math.isfinite(bound):
-                raise AdiabaticaError(
-                    "step phase overflows: the bound on |s| N ||H||_max is not finite"
-                )
-            a = self.form(h, b, out)
-            if n != 2:
-                x = max(x, float(np.abs(a).sum(axis=1).max(initial=0.0)))
-        self.q = 0
-        while x > TAYLOR_MAX_NORM:
-            x, self.q = x / 2, self.q + 1
-        self.d = _taylor_degree(x)
-        if n != 2:
-            self.phase = np.exp(-1j * self.s * self.m)
-
-    def form(self, hams: np.ndarray, b: slice, out: np.ndarray) -> np.ndarray:
-        """The generator of steps b from their H into out, which must not overlap hams."""
-        if self.m is None:
-            np.copyto(out, hams)
-            return out
-        # 2 (H + H^dagger)/2, which the overflow guard bounds
-        np.add(hams, np.conjugate(hams.swapaxes(-1, -2), out=out), out=out)
-        _diagonal(out)[...] -= 2 * self.m[b, None]
-        out *= -0.5j * self.s  # halving is exact: the bits of a Hermitian H are kept
+    s, n = float(s), hams.shape[-1]
+    scale = max_abs(hams)
+    bound = abs(s) * n * scale if n == 2 else 2 * max(abs(s), 1.0) * n * scale
+    if not math.isfinite(bound):
+        raise AdiabaticaError("step phase overflows: the bound on |s| N ||H||_max is not finite")
+    if n == 2:
+        h00, h11 = hams[:, 0, 0].real, hams[:, 1, 1].real
+        h10 = 0.5 * hams[:, 1, 0] + 0.5 * hams[:, 0, 1].conj()  # the Hermitian part's H_10
+        m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
+        r = np.hypot(z, np.abs(h10))
+        # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
+        sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
+        phase = np.exp(-1j * s * m)
+        del m  # each c-length temporary goes after its last use
+        cos = phase * np.cos(s * r)
+        del r
+        off = -1j * phase * sinc
+        del phase, sinc
+        out[:, 0, 0] = cos + off * z
+        out[:, 1, 1] = cos - off * z
+        del cos, z
+        out[:, 1, 0] = off * h10
+        out[:, 0, 1] = off * h10.conj()
         return out
-
-    def exp(self, blk: np.ndarray, b: slice, work: Sequence[np.ndarray]) -> np.ndarray:
-        """The steps b in place of their generator in blk; returns blk.
-
-        At N = 2 the Hermitian part is m I + r . sigma, read from the real diagonal and
-        the mean of H_10 and conj(H_01), and the step
-        e^{-i s m} [cos(s |r|) I - i sin(s |r|) r/|r| . sigma]. Every other N runs
-        Horner's rule P <- A P + I/j!, then q squarings P <- P P (each doubles the
-        rounding), through matmul between the two buffers of work, each at least as
-        long as blk.
-        """
-        s = self.s
-        if self.m is None:
-            h00, h11 = blk[:, 0, 0].real, blk[:, 1, 1].real
-            h10 = 0.5 * blk[:, 1, 0] + 0.5 * blk[:, 0, 1].conj()  # the Hermitian part's H_10
-            m, z = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11  # halved first: no overflow
-            r = np.hypot(z, np.abs(h10))
-            # sin(s r) / r, which tends to s at r = 0 (H proportional to I)
-            sinc = np.divide(np.sin(s * r), r, out=np.full_like(r, s), where=r > 0)
-            phase = np.exp(-1j * s * m)
-            del m  # each K-length temporary goes after its last use
-            cos = phase * np.cos(s * r)
-            del r
-            off = -1j * phase * sinc
-            del phase, sinc
-            blk[:, 0, 0] = cos + off * z
-            blk[:, 1, 1] = cos - off * z
-            del cos, z
-            blk[:, 1, 0] = off * h10
-            blk[:, 0, 1] = off * h10.conj()
-            return blk
-        p, buffer = (w[: len(blk)] for w in work)
-        q, d = self.q, self.d
-        if q:
-            blk *= 2.0**-q
-        # P = A / d! + I / (d-1)!, then d - 1 Horner products
-        np.multiply(blk, 1.0 / math.factorial(d), out=p)
-        _diagonal(p)[...] += 1.0 / math.factorial(d - 1)
-        for j in range(d - 2, -1, -1):
-            matmul(blk, p, out=buffer)
-            _diagonal(buffer)[...] += 1.0 / math.factorial(j)
-            p, buffer = buffer, p
-        for _ in range(q):
-            matmul(p, p, out=buffer)
-            p, buffer = buffer, p
-        return np.multiply(p, self.phase[b, None, None], out=blk)
+    # m = sum of 2 Re H_ii / (2N), added left to right whatever the chunk's length: a
+    # (c, N) sum's order changes with its layout and, at c = 1, with its length.
+    terms = 2 * _diagonal(hams).real / (2 * n)
+    m = terms[:, 0].copy()
+    for term in terms.T[1:]:
+        m += term
+    # 2 (H + H^dagger)/2, which the overflow guard bounds
+    np.add(hams, np.conjugate(hams.swapaxes(-1, -2), out=out), out=out)
+    _diagonal(out)[...] -= 2 * m[:, None]
+    out *= -0.5j * s  # halving is exact: the bits of a Hermitian H are kept
+    x, q = float(np.abs(out).sum(axis=1).max(initial=0.0)), 0
+    while x > TAYLOR_MAX_NORM:
+        x, q = x / 2, q + 1
+    d = _taylor_degree(x)
+    p, buffer = (w[: len(out)] for w in work)
+    if q:
+        out *= 2.0**-q
+    # P = A / d! + I / (d-1)!, then d - 1 Horner products
+    np.multiply(out, 1.0 / math.factorial(d), out=p)
+    _diagonal(p)[...] += 1.0 / math.factorial(d - 1)
+    for j in range(d - 2, -1, -1):
+        matmul(out, p, out=buffer)
+        _diagonal(buffer)[...] += 1.0 / math.factorial(j)
+        p, buffer = buffer, p
+    for _ in range(q):
+        matmul(p, p, out=buffer)
+        p, buffer = buffer, p
+    return np.multiply(p, np.exp(-1j * s * m)[:, None, None], out=out)

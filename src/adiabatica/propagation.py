@@ -2,9 +2,11 @@
 
 Each step applies exp(-i dt H(t_k + dt/2)), a second-order Magnus truncation,
 and U[k] = step[k-1] ... step[0] evolves from t_start to t_k; no Python loop
-runs per step. Only the Hermitian part of a generator is exponentiated, so the
-coefficient route's midpoints of M, Hermitian only to O(dt^2) on a grid, need
-no symmetrising. Steps are unitary to rounding, not by construction, so every
+runs per step. Every route is one walk (_walk) that exponentiates its steps a
+chunk at a time (numerics.exp_steps), each chunk at its own scaling and degree.
+Only the Hermitian part of a generator is exponentiated, so the coefficient
+route's midpoints of M, Hermitian only to O(dt^2) on a grid, need no
+symmetrising. Steps are unitary to rounding, not by construction, so every
 accumulated stack is checked for drift; far too coarse steps (dt ||H||_max
 from about 1e6 at N = 3) fail that check.
 """
@@ -22,7 +24,6 @@ from .closed_form import _require_level
 from .effective import EffectiveHamiltonian
 from . import numerics
 from .numerics import (
-    StepPlan,
     dagger,
     dagger_matmul,
     matmul,
@@ -85,57 +86,41 @@ def _scan(
 
 def _walk(
     generators: Callable[[slice, np.ndarray], np.ndarray],
-    diagonal: np.ndarray,
+    k: int,
+    n: int,
     s: float,
     level: int | None = None,
 ) -> np.ndarray:
-    """Prefix products U[k] = step[k-1] ... step[0], U[0] = I, of the K steps exp(-i s G_k),
-    (K+1, N, N), or with an int level their column level, (K+1, N).
+    """Prefix products U[k] = step[k-1] ... step[0], U[0] = I, of the k steps exp(-i s G_k),
+    (k+1, N, N), or with an int level their column level, (k+1, N).
 
-    generators(c, buf) gives the G of steps c, a view or written into buf, a chunk
-    buffer; diagonal is their gathered Re G_ii, (K, N), dropped once the StepPlan pass
-    has read it. The steps are then walked in groups of whole _scan blocks, about
-    BLOCK_BYTES each, exponentiated in chunks of about BLOCK_BYTES / 4, scanned onto the
-    product that ends the group before and checked for drift per chunk. When the stack
-    is kept, a group is its slice of it, where the plan's pass formed its generators;
-    for a column, a group is a scratch stack, formed a second time, whose column is kept.
-    AdiabaticaError when max|U^dagger U - I| exceeds UNITARITY_RTOL * K or is NaN.
+    generators(c, buf) gives the G of steps c, a view or written into buf, a chunk buffer.
+    The steps are walked in groups of whole _scan blocks, about BLOCK_BYTES each,
+    exponentiated by numerics.exp_steps in chunks of about BLOCK_BYTES / 4, scanned onto
+    the product that ends the group before and checked for drift per chunk. When the
+    stack is kept, a group is its slice of it; for a column, a group is a scratch stack
+    whose column is kept. AdiabaticaError when max|U^dagger U - I| exceeds
+    UNITARITY_RTOL * k or is NaN.
     """
-    (k, n), keep = diagonal.shape, level is None
-    size, matrix = _scan_size(k), n * n * 16
+    keep, size, matrix = level is None, _scan_size(k), n * n * 16
     per_group = size * max(1, numerics.BLOCK_BYTES // (size * matrix))
     per_chunk = min(max(1, numerics.BLOCK_BYTES // 4 // matrix), per_group, k)
     buf, work, scratch = (np.empty((m, n, n), dtype=complex) for m in (per_chunk, per_chunk, size))
-    stack = np.empty((k + 1 if keep else min(per_group, k), n, n), dtype=complex)
-    steps = stack[1:] if keep else stack
-
-    def spans(start: int, stop: int, length: int) -> list[slice]:
-        return [slice(i, min(i + length, stop)) for i in range(start, stop, length)]
-
-    targets = ((c, steps[c] if keep else work[: c.stop - c.start]) for c in spans(0, k, per_chunk))
-    plan = StepPlan(s, diagonal, ((c, generators(c, buf), into) for c, into in targets))
-    del diagonal
-    out = stack if keep else np.empty((k + 1, n), dtype=complex)
+    out = np.empty((k + 1, n, n) if keep else (k + 1, n), dtype=complex)
     out[0] = np.eye(n) if keep else np.eye(n)[level]
+    steps = out[1:] if keep else np.empty((min(per_group, k), n, n), dtype=complex)
     carry, defects = None, []
-    for g in spans(0, k, per_group):
-        group = steps[g] if keep else steps[: g.stop - g.start]
-        chunked = spans(g.start, g.stop, per_chunk)
-        parts = [(c, group[c.start - g.start : c.stop - g.start]) for c in chunked]
-        for c, part in parts:
-            plan.exp(part if keep else plan.form(generators(c, buf), c, part), c, (work, buf))
+    for g in range(0, k, per_group):
+        group = steps[g : g + per_group] if keep else steps[: min(per_group, k - g)]
+        parts = [group[i : i + per_chunk] for i in range(0, len(group), per_chunk)]
+        for i, part in zip(range(g, k, per_chunk), parts):
+            numerics.exp_steps(generators(slice(i, i + len(part)), buf), s, part, (work, buf))
         carry = _scan(group, size, carry, scratch).copy()
-        defects += [unitarity_defect(part, (buf, work)) for _, part in parts]
+        defects += [unitarity_defect(part, (buf, work)) for part in parts]
         if not keep:
-            out[g.start + 1 : g.stop + 1] = group[:, :, level]
+            out[g + 1 : g + 1 + len(group)] = group[:, :, level]
     require_drift(float(np.max(defects)), k, "propagator lost unitarity")
     return out
-
-
-def _real_diagonal(stack: np.ndarray) -> np.ndarray:
-    """Re H_ii of a (K, N, N) stack as a new (K, N) array, whose layout fixes the order in
-    which StepPlan sums the trace means: an np.diagonal view changes their bits."""
-    return stack.real[(slice(None), *np.diag_indices(stack.shape[-1]))]
 
 
 def _coefficient_propagators(eff: EffectiveHamiltonian, level: int | None = None) -> np.ndarray:
@@ -143,15 +128,16 @@ def _coefficient_propagators(eff: EffectiveHamiltonian, level: int | None = None
     level. Step k is exp(-i (dt/2) (M_k + M_{k+1})), bit for bit the step of the midpoint
     (M_k + M_{k+1})/2, as halving is exact, except where dt < 2 * 2**-1022 makes dt/2
     subnormal; with ||M|| near 1e307 the kernel's overflow guard may read up to 2x higher.
-    The sums are formed chunk by chunk into the walk's buffer.
+    The sums are formed chunk by chunk into the walk's buffer; one that overflows fails
+    the guard.
     """
     values = eff.values
 
     def summed(c: slice, buf: np.ndarray) -> np.ndarray:
-        return np.add(values[c], values[c.start + 1 : c.stop + 1], out=buf[: c.stop - c.start])
+        with np.errstate(over="ignore"):
+            return np.add(values[c], values[c.start + 1 : c.stop + 1], out=buf[: c.stop - c.start])
 
-    dt = eff.frames.grid.dt  # the diagonal is not bound here: the walk drops it after its plan
-    return _walk(summed, _real_diagonal(values[:-1]) + _real_diagonal(values[1:]), dt / 2, level)
+    return _walk(summed, len(values) - 1, values.shape[-1], eff.frames.grid.dt / 2, level)
 
 
 @dataclass(frozen=True)
@@ -175,7 +161,7 @@ def stepping_propagators(spec: HamiltonianSpec, grid: TimeGrid) -> np.ndarray:
     not Hermitian, and AdiabaticaError on unitarity drift beyond UNITARITY_RTOL * steps.
     """
     hams = spec.sample(grid.times[:-1] + grid.dt / 2)
-    return _walk(lambda c, buf: hams[c], _real_diagonal(hams), grid.dt)
+    return _walk(lambda c, buf: hams[c], grid.steps, spec.dim, grid.dt)
 
 
 def propagate(

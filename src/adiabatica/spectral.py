@@ -158,7 +158,8 @@ class ConnectionMatrix:
 
 def _check_gaps(energies: np.ndarray) -> None:
     """EigenGapTooSmallError when an adjacent-level gap is at most GAP_FLOOR_RTOL * max|E|."""
-    gaps = np.diff(np.sort(energies, axis=1), axis=1)
+    with np.errstate(over="ignore"):  # an infinite gap is no crossing
+        gaps = np.diff(np.sort(energies, axis=1), axis=1)
     floor = GAP_FLOOR_RTOL * max_abs(energies)
     if gaps.size and np.min(gaps) <= floor:
         k = int(np.argmin(np.min(gaps, axis=1)))

@@ -34,19 +34,11 @@ def random_smooth_spec(rng: np.random.Generator, n: int) -> HamiltonianSpec:
     return HamiltonianSpec(dim=n, evaluate=evaluate)
 
 
-def exp_steps(hams: np.ndarray, s: float, diagonal: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i s (H + H^dagger)/2) for each H of a held (K, N, N) stack: StepPlan's two passes
-    over its blocks of about BLOCK_BYTES. diagonal is the gathered Re H_ii the propagation
-    routes pass (StepPlan's bits depend on its layout), taken from hams if None."""
-    blocks, n = numerics._blocks(hams), hams.shape[-1]
-    if diagonal is None:
-        diagonal = hams.real[(slice(None), *np.diag_indices(n))]
+def exp_steps(hams: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i s (H + H^dagger)/2) for each H of a held (K, N, N) stack: one kernel call,
+    so the whole stack is one chunk with one scaling and degree."""
     out = np.empty(hams.shape, dtype=complex)
-    plan = numerics.StepPlan(s, diagonal, ((b, hams[b], out[b]) for b in blocks))
-    work = [np.empty_like(out[blocks[0]]) for _ in range(2)]
-    for b in blocks:
-        plan.exp(out[b], b, work)
-    return out
+    return numerics.exp_steps(hams, s, out, (np.empty_like(out), np.empty_like(out)))
 
 
 def traced_peak(call) -> int:

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabatica import AdiabaticaError, TimeGrid, build_frames, max_abs, numerics
+from adiabatica import (
+    AdiabaticaError,
+    HamiltonianSpec,
+    TimeGrid,
+    build_frames,
+    max_abs,
+    numerics,
+    stepping_propagators,
+)
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import TAYLOR_MAX_NORM, _taylor_degree, dagger, matmul
 
@@ -189,23 +197,30 @@ def test_scaled_taylor_step_matches_eigh(n, k, log_x, identity_share, offset, se
     assert max_abs(dagger(got) @ got - np.eye(n)) <= 1e-14 * (1 + x)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
-def test_taylor_step_does_not_depend_on_the_block_size(monkeypatch, n):
-    # 7 steps in one block, in blocks of one step, and in blocks of 3, 3 and a
-    # tail of 1. The last step alone is coarse (x > TAYLOR_MAX_NORM), so every
-    # block must be scaled and squared as often as that one; the N = 2 closed form too.
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_a_coarse_chunk_does_not_touch_the_other_chunks(monkeypatch, n):
+    # The walk exponentiates these 12 steps in chunks of 3. Making the last midpoint H
+    # 8x coarser (x > TAYLOR_MAX_NORM) scales and squares its chunk only: the products
+    # up to that chunk keep the bits of the run without the coarse step.
     rng = np.random.default_rng(n)
-    y = random_complex(rng, (7, n, n))
-    hams = (y + dagger(y)) / 2 + 0.3 * np.eye(n)
-    dt = 0.5 / traceless_one_norm(hams) if n > 1 else 0.5
-    hams[-1] *= 8
-    if n > 1:  # at N = 1, H0 = 0 and no step is coarse
-        assert dt * traceless_one_norm(hams[:-1]) <= TAYLOR_MAX_NORM < dt * traceless_one_norm(hams[-1:])
-    whole = exp_steps(hams, dt)
-    for per_block in (7, 1, 3):
-        monkeypatch.setattr(numerics, "BLOCK_BYTES", per_block * 16 * n * n)
-        assert len(numerics._blocks(hams)) == -(-7 // per_block)
-        assert np.array_equal(exp_steps(hams, dt), whole)
+    y = random_complex(rng, (12, n, n))
+    grid = TimeGrid(0.0, 1.0, 12)
+    fine = (y + dagger(y)) / 2 + 0.3 * np.eye(n)
+    fine *= 0.5 / (grid.dt * traceless_one_norm(fine))
+    coarse = fine.copy()
+    coarse[-1] *= 8
+    assert grid.dt * traceless_one_norm(fine) <= TAYLOR_MAX_NORM < grid.dt * traceless_one_norm(coarse)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 4 * 3 * 16 * n * n)
+
+    def propagators(hams):
+        def sampled(t):  # H at the midpoints of the grid: row k at t_k + dt/2
+            return hams[np.rint(np.asarray(t) / grid.dt - 0.5).astype(int)]
+
+        return stepping_propagators(HamiltonianSpec(dim=n, evaluate=sampled, batched=True), grid)
+
+    with_coarse, without = propagators(coarse), propagators(fine)
+    assert np.array_equal(with_coarse[:10], without[:10])
+    assert not np.array_equal(with_coarse[10:], without[10:])
 
 
 @pytest.mark.parametrize("n, cols", [(1, 1), (2, 2), (3, 1), (3, 3), (8, 3), (8, 8), (16, 16)])

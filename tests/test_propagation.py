@@ -31,7 +31,7 @@ from adiabatica import numerics
 from adiabatica.effective import EffectiveHamiltonian
 from adiabatica.models import SIGMA_X, SIGMA_Z
 from adiabatica.numerics import dagger
-from adiabatica.propagation import _coefficient_propagators, _real_diagonal, _scan, _scan_size, _walk
+from adiabatica.propagation import _coefficient_propagators, _scan, _scan_size, _walk
 from adiabatica.spectral import FrameTrajectory, HamiltonianSpec
 
 from conftest import exp_steps, random_hermitian, random_smooth_spec, traced_peak
@@ -361,6 +361,23 @@ def test_step_phase_overflow_raises_before_any_runtime_warning():
             stepping_propagators(spec, TimeGrid(0.0, 1e10, 16))
 
 
+@pytest.mark.parametrize(
+    "route",
+    [lambda eff: coefficient_propagate(eff, 0), coefficient_evolution],
+    ids=["coefficient_propagate", "coefficient_evolution"],
+)
+def test_coefficient_sums_that_overflow_raise_before_any_runtime_warning(route):
+    # M = diag(1e308, -1e308, 0) at every time: the sums M_k + M_{k+1} overflow, and the
+    # kernel's guard must raise on them. numpy warnings are errors here.
+    grid = TimeGrid(0.0, 1.0, 16)
+    frames = FrameTrajectory(grid, np.zeros((17, 3)), np.broadcast_to(np.eye(3), (17, 3, 3)))
+    values = np.tile(np.diag([1e308, -1e308, 0.0]).astype(complex), (17, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdiabaticaError, match="step phase overflows"):
+            route(EffectiveHamiltonian(values, frames))
+
+
 def test_step_far_too_coarse_fails_the_drift_check_without_runtime_warning(rng):
     # dt ||H||_max = 1e10 at N = 3: the Taylor step is halved about 35 times and
     # squared back as often, and each squaring doubles the rounding error.
@@ -392,20 +409,22 @@ def test_every_route_checks_unitarity_drift(rng, monkeypatch, defect, last_only)
     frames = build_frames(spec, grid)
     eff = build_effective(frames, connection(frames))
     monkeypatch.setattr(numerics, "BLOCK_BYTES", 12 * 16 * 3 * 3)
-    exp = numerics.StepPlan.exp
+    exp, done = numerics.exp_steps, []
 
-    def defective_steps(plan, blk, b, work):  # every route writes its steps here
-        steps = exp(plan, blk, b, work)
-        if not last_only or b.start + len(steps) == grid.steps:
+    def defective_steps(hams, s, out, work):  # every route writes its steps here, in order
+        steps = exp(hams, s, out, work)
+        done.append(len(steps))
+        if not last_only or sum(done) == grid.steps:
             steps[-1 if last_only else slice(None)] *= defect
         return steps
 
-    monkeypatch.setattr(numerics.StepPlan, "exp", defective_steps)
+    monkeypatch.setattr(numerics, "exp_steps", defective_steps)
     for run in (
         lambda: stepping_propagators(spec, grid),
         lambda: coefficient_propagate(eff, 0),
         lambda: coefficient_evolution(eff),
     ):
+        done.clear()
         with pytest.raises(AdiabaticaError, match="lost unitarity"):
             run()
 
@@ -436,14 +455,14 @@ def test_stepping_is_unitary_and_composes_across_blocks(n, steps, per_block, see
 def test_each_route_builds_its_propagators_in_one_stack(n, steps):
     # Traced peaks against S, one (K+1, N, N) complex stack, C, the (K+1, N) column the
     # coefficient route returns, and B = BLOCK_BYTES, the size of every temporary block.
-    # Every route is one walk over groups of about B, formed and exponentiated in chunks
-    # of about B / 4 (numpy 2.4, Python 3.11). The coefficient column holds no stack:
-    # C + 1.6 B, 1.8 B and 1.8 B at N = 2, 8 and 16; it read 2.3, 6.2 and 10.2 MiB when
-    # it built the stack, beyond the bound at N = 8 and 16. The full coefficient stack
-    # forms its sums M_k + M_{k+1} in a chunk buffer: S + 1.1 B, 1.1 B and 1.2 B. The direct
-    # route writes its steps into the stack it returns, beside the stack of its sampled
-    # midpoints: 2 S + 1.1 B, 1.1 B and 1.2 B; one that kept its steps in a stack of their
-    # own would read 3 S.
+    # Every route is one walk over groups of about B, exponentiated in chunks of about
+    # B / 4 (numpy 2.4, Python 3.11). The coefficient column holds no stack: C + 1.55 B,
+    # 1.73 B and 1.73 B at N = 2, 8 and 16; it read 2.3, 6.2 and 10.2 MiB when it built
+    # the stack, beyond the bound at N = 8 and 16. The full coefficient stack forms its
+    # sums M_k + M_{k+1} in a chunk buffer: S + 1.0 B, 0.73 B and 0.83 B. The direct route
+    # writes its steps into the stack it returns, beside the stack of its sampled
+    # midpoints: 2 S + 1.0 B, 0.73 B and 0.83 B; one that kept its steps in a stack of
+    # their own would read 3 S.
     spec = random_smooth_spec(np.random.default_rng(7), n)
     grid = TimeGrid(0.0, 10.0, steps)
     frames = build_frames(spec, grid)
@@ -458,28 +477,33 @@ def test_two_level_steps_drop_their_temporaries(monkeypatch):
     # ms_second at K = 4096 is one chunk of steps (C = 256 KiB, S one (K+1, 2, 2) stack). The
     # closed form drops each K-length temporary after its last use: 1.75 C above its start
     # inside exp (numpy 2.4, Python 3.11), against 2.26 C when all lived to the end. The
-    # call's peak, 6.28 S inside exp then, is now the drift check's at 6.04 S.
+    # call's peak, 6.28 S inside exp then, is now the drift check's at 6.03 S.
     spec = ms_second_model(MSSecondModelParams.from_regime(n=2, tau=6.3))
     grid = TimeGrid(0.0, 6.3, 4096)
-    exp, inside = numerics.StepPlan.exp, []
+    exp, inside = numerics.exp_steps, []
 
-    def traced_exp(plan, blk, b, work):
-        inside.append(traced_peak(lambda: exp(plan, blk, b, work)) / blk.nbytes)
-        return blk
+    def traced_exp(hams, s, out, work):
+        inside.append(traced_peak(lambda: exp(hams, s, out, work)) / out.nbytes)
+        return out
 
     stack = (grid.steps + 1) * 4 * 16
     assert traced_peak(lambda: stepping_propagators(spec, grid)) <= 6.15 * stack
-    monkeypatch.setattr(numerics.StepPlan, "exp", traced_exp)
+    monkeypatch.setattr(numerics, "exp_steps", traced_exp)
     stepping_propagators(spec, grid)
     assert inside and max(inside) <= 2.0
 
 
-def held_route(generators, s, diagonal):
-    """The full-stack route the walk replaced, kept as the reference: StepPlan's two passes
-    over the held generators, then one _scan of the whole stack."""
+def held_route(generators, s, per_group, per_chunk):
+    """The full-stack route the walk replaced, kept as the reference: the kernel on the held
+    generators in the walk's chunks (per_chunk steps, cut where a group of per_group ends),
+    then one _scan of the whole stack."""
     k, n = generators.shape[:2]
     out = np.empty((k + 1, n, n), dtype=complex)
-    out[0], out[1:] = np.eye(n), exp_steps(generators, s, diagonal)
+    out[0] = np.eye(n)
+    for g in range(0, k, per_group):
+        for i in range(g, min(g + per_group, k), per_chunk):
+            c = slice(i, min(i + per_chunk, g + per_group, k))
+            out[1:][c] = exp_steps(generators[c], s)
     _scan(out[1:], _scan_size(k), None, np.empty_like(out[1:]))
     return out
 
@@ -488,38 +512,31 @@ def held_route(generators, s, diagonal):
 @given(
     n=st.sampled_from([1, 2, 3, 8, 16]),
     k=st.integers(1, 80),
-    per_kernel_block=st.integers(1, 9),
     scale=st.sampled_from([0.1, 3.0, 300.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=13, per_kernel_block=4, scale=3.0, seed=1)
-@example(n=8, k=1, per_kernel_block=1, scale=300.0, seed=2)
-@example(n=2, k=13, per_kernel_block=1, scale=0.1, seed=3)
-@example(n=16, k=50, per_kernel_block=3, scale=3.0, seed=4)
-@example(n=1, k=80, per_kernel_block=7, scale=3.0, seed=5)
-def test_walk_gives_the_bits_of_the_held_stack_route(n, k, per_kernel_block, scale, seed):
-    # The walk must give each step the arithmetic the held-stack route gave it: the trace
-    # means from the same gathered diagonal, one q and d for the stack, the same scan
-    # blocks. Both sources are checked, the sampled H of stepping_propagators and the sums
-    # M_k + M_{k+1} of the coefficient routes, as the whole stack and as every column.
-    # K = 13 ends in a one-step scan block; K = 1 is one step. At N = 1 the scan's products
-    # are single complex multiplies, which must not round by the length of a run.
+@example(n=3, k=13, scale=3.0, seed=1)
+@example(n=8, k=1, scale=300.0, seed=2)
+@example(n=2, k=13, scale=0.1, seed=3)
+@example(n=16, k=50, scale=300.0, seed=4)
+@example(n=1, k=80, scale=3.0, seed=5)
+def test_walk_gives_the_bits_of_the_held_stack_route(n, k, scale, seed):
+    # The walk must give each step the arithmetic the held-stack route gives it on the
+    # walk's chunks: one kernel call per chunk, the same scan blocks. Both sources are
+    # checked, the sampled H of stepping_propagators and the sums M_k + M_{k+1} of the
+    # coefficient routes, as the whole stack and as every column. K = 13 ends in a
+    # one-step scan block; K = 1 is one step. At N = 1 the scan's products are single
+    # complex multiplies, which must not round by the length of a run.
     # BLOCK_BYTES sets the walk's groups (whole scan blocks, about BLOCK_BYTES each) and
     # chunks (about BLOCK_BYTES / 4, down to one step): one matrix, one and three scan
-    # blocks, and the default are walked.
-    # The reference's kernel blocks are per_kernel_block matrices; scale 300 makes steps
-    # coarse enough to be scaled and squared.
+    # blocks, and the default are walked. Each step's norm is scaled by up to `scale`,
+    # so at 300 the chunks scale and square their steps, each as often as its own need.
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(k + 1, n, n)) + 1j * rng.normal(size=(k + 1, n, n))
-    hams = scale * (y[:-1] + dagger(y[:-1])) / 2
-    values = scale * ((y + dagger(y)) / 2 + 1e-3 * (y - dagger(y)) / 2)
+    y *= scale ** rng.uniform(0.0, 1.0, size=k + 1)[:, None, None]
+    hams = (y[:-1] + dagger(y[:-1])) / 2
+    values = (y + dagger(y)) / 2 + 1e-3 * (y - dagger(y)) / 2
     grid = TimeGrid(0.0, 1.0, k)
-    index = (slice(None), *np.diag_indices(n))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "BLOCK_BYTES", per_kernel_block * n * n * 16)
-        stepping = held_route(hams, grid.dt, hams.real[index])
-        diagonal = values.real[index]
-        coefficient = held_route(values[:-1] + values[1:], grid.dt / 2, diagonal[:-1] + diagonal[1:])
 
     def sampled(t):  # H at the midpoints of the grid: row k at t_k + dt/2
         return hams[np.rint(np.asarray(t) / grid.dt - 0.5).astype(int)]
@@ -529,12 +546,16 @@ def test_walk_gives_the_bits_of_the_held_stack_route(n, k, per_kernel_block, sca
     eff = EffectiveHamiltonian(values, frames)
     matrix, size = n * n * 16, _scan_size(k)
     for block_bytes in (matrix, size * matrix, 3 * size * matrix, numerics.BLOCK_BYTES):
+        per_group = size * max(1, block_bytes // (size * matrix))
+        per_chunk = min(max(1, block_bytes // 4 // matrix), per_group, k)
+        stepping = held_route(hams, grid.dt, per_group, per_chunk)
+        coefficient = held_route(values[:-1] + values[1:], grid.dt / 2, per_group, per_chunk)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "BLOCK_BYTES", block_bytes)
             assert np.array_equal(stepping_propagators(spec, grid), stepping)
             assert np.array_equal(_coefficient_propagators(eff), coefficient)
             for level in range(n):
-                column = _walk(lambda c, buf: hams[c], _real_diagonal(hams), grid.dt, level)
+                column = _walk(lambda c, buf: hams[c], k, n, grid.dt, level)
                 assert np.array_equal(column, stepping[:, :, level])
                 assert np.array_equal(coefficient_propagate(eff, level), coefficient[:, :, level])
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,26 @@ def test_non_finite_spec_raises():
     for stage in (build_frames, stepping_propagators, propagate, barred_model):
         with pytest.raises(NotHermitianError):
             stage(spec, TimeGrid(0.0, 1.0, 16))
+
+
+@pytest.mark.parametrize(
+    "H, error",
+    [
+        pytest.param([[0.0, 1e308], [-1e308, 0.0]], NotHermitianError, id="defect-overflows"),
+        pytest.param([[1.7e308, 0.0], [0.0, -1.7e308]], None, id="gap-overflows"),
+    ],
+)
+def test_checks_near_the_float_range_raise_no_runtime_warning(H, error):
+    # H - H^dagger of the first and the gap of the second overflow: an infinite defect
+    # fails the Hermitian check, an infinite gap is no crossing. numpy warnings are errors.
+    spec = static_spec(np.array(H, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert np.isfinite(build_frames(spec, TimeGrid(0.0, 1.0, 8)).vectors).all()
+        else:
+            with pytest.raises(error):
+                build_frames(spec, TimeGrid(0.0, 1.0, 8))
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["per-time", "batched"])

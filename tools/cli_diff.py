@@ -11,11 +11,13 @@ differs when its exit code, stdout, stderr or file differ between the trees,
 or when either tree's file differs from that tree's stdout.
 
 The library analyses are bench/run.py's `analyse` on workloads.lib_systems
-at the same seeds and default sizes, and on three systems framed by their
-models' analytic frames (the rotating model as built, the barred model over
-it and ms_second): 9 per tree, run in one subprocess (`python3
-tools/cli_diff.py --analyses` with the tree on PYTHONPATH), which prints a
-sha256 digest of every array they return, of the two maxima of
+at the same seeds and default sizes, on seed 81's random-n16 at K = 512 (where
+most step chunks are finer than the stack's coarsest, so they take a lower
+Taylor degree), and on three systems framed by their models' analytic frames
+(the rotating model as built, the barred model over it and ms_second): 10 per
+tree, run in one subprocess (`python3 tools/cli_diff.py --analyses` with the
+tree on PYTHONPATH), which prints a sha256 digest of every array they return,
+of the full coefficient propagator stack, of the two maxima of
 `gauge_transform_check` on each system, under fixed rephasings
 alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the system's
 frames (vectors, and derivatives when present), and of
@@ -85,6 +87,7 @@ def analyses() -> dict:
     seed and the analytic systems, from the imported tree."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
+    from adiabatica import propagation
 
     def digest(value) -> str:
         a = np.ascontiguousarray(value)
@@ -94,6 +97,7 @@ def analyses() -> dict:
         return (lambda t: n / 2 + 0.3 * np.sin(t + n), lambda t: 0.3 * np.cos(t + n))
 
     systems = [(f"seed {seed}", s) for seed in SEEDS for s in workloads.lib_systems(seed, ad)]
+    systems += [("seed 81 K=512", workloads.lib_systems(81, ad, 512)[2])]
     systems += [("analytic", s) for s in analytic_systems(ad)]
     out = {}
     for label, system in systems:
@@ -120,6 +124,7 @@ def analyses() -> dict:
             "phase splits": [[s.dynamical, s.geometric] for s in analysis.splits],
             "holonomies": [h.value for h in analysis.holonomies],
             "coefficient route": analysis.coefficients,
+            "coefficient propagators": propagation._coefficient_propagators(eff),
             "gauge check": [gauge.max_state_deviation, gauge.max_holonomy_deviation],
             "transported vectors": transported.vectors,
             "probe chain": probe.chain,
