@@ -5,11 +5,10 @@ systems, assembles the effective Hamiltonian whose diagonal dominance defines
 adiabaticity, propagates exact dynamics, and extracts geometric phases and
 holonomies. Ships exactly solvable driven two-level models and a CLI.
 
-Each module declares its public names in its own __all__; this package
-republishes them all, once each (models also lists the names it takes from
-closed_form). A name is bound on first access (PEP 562), importing
-modules in _MODULES order until one exports it, so importing the package or
-one of its modules loads only what that code imports.
+Each module declares its public names in its own __all__, and no name is in two
+of them; this package republishes them all. A name is bound on first access
+(PEP 562), importing modules in _MODULES order until one exports it, so importing
+the package or one of its modules loads only what that code imports.
 """
 
 from importlib import import_module as _import_module
@@ -30,7 +29,7 @@ def __getattr__(name: str):
         public += module.__all__
     if name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = public = sorted(set(public))
+    globals()[name] = public = sorted(public)
     return public
 
 

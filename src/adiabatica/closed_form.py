@@ -1,6 +1,6 @@
 """Model parameter records and the rotating model's closed-form phases, in math alone:
-importing this module loads no numpy, so the CLI's sweep starts without it. models
-republishes these names."""
+importing this module loads no numpy, so the CLI's sweep starts without it. It is these
+names' one public home: models imports the ones it uses but does not list them."""
 
 from __future__ import annotations
 

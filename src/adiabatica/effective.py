@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdiabaticaError
-from .numerics import max_abs
+from .numerics import _diagonal, max_abs
 from .spectral import ConnectionMatrix, FrameTrajectory, _require_grid
 
 __all__ = ["CriteriaReport", "EffectiveHamiltonian", "build_effective", "criteria"]
@@ -53,8 +53,7 @@ def build_effective(frames: FrameTrajectory, conn: ConnectionMatrix) -> Effectiv
     """M_nm(t) = E_n delta_nm - A_nm at every grid point; GridMismatchError across grids."""
     _require_grid(frames, conn.grid)
     values = -conn.values  # a new array
-    idx = np.arange(frames.dim)
-    values[:, idx, idx] += frames.energies
+    _diagonal(values)[...] += frames.energies
     return EffectiveHamiltonian(values, frames)
 
 
@@ -111,7 +110,7 @@ def criteria(
     if n < 2:
         raise ValueError("criteria needs at least two levels")
     times, E = eff.frames.grid.times, eff.frames.energies
-    diag = np.einsum("kii->ki", eff.values)
+    diag = _diagonal(eff.values)
 
     offdiag = np.abs(eff.values).reshape(len(times), n * n)  # |M_ij| is not symmetric
     offdiag[:, :: n + 1] = -np.inf

@@ -4,7 +4,7 @@ All energies are angular frequencies (hbar = 1). Level index 0 carries each
 model's conventional "+" label: for the rotating-field model that is the
 spin-aligned state with energy -mu_B, for the driven two-axis model it is the
 upper level +|R(t)|. The parameter records and the rotating model's closed-form
-phases live in closed_form, which loads no numpy, and are republished here.
+phases live in closed_form, which loads no numpy; their one public home is there.
 """
 
 from __future__ import annotations
@@ -14,27 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_form import (
-    MSSecondModelParams,
-    RotatingModelParams,
-    _require_level,
-    mixing_angle,
-    rotating_dynamical_phase,
-    rotating_geometric_phase,
-)
+from .closed_form import MSSecondModelParams, RotatingModelParams, _require_level, mixing_angle
 from .numerics import dagger, matmul
 from .spectral import HamiltonianSpec, TimeGrid
 
 __all__ = [
-    "MSSecondModelParams",
-    "RotatingModelParams",
     "barred_model",
-    "mixing_angle",
     "ms_candidate_evolution",
     "ms_second_model",
-    "rotating_dynamical_phase",
     "rotating_exact_solution",
-    "rotating_geometric_phase",
     "rotating_model",
 ]
 

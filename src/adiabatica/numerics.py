@@ -136,14 +136,11 @@ def require_hermitian_batch(hams: np.ndarray) -> None:
         )
 
 
-def unitarity_defect(stack: np.ndarray, work: Sequence[np.ndarray] | None = None) -> float:
+def unitarity_defect(stack: np.ndarray, work: Sequence[np.ndarray]) -> float:
     """max|X^dagger X - I| over a (K, N, N) stack, NaN if any X is not finite, through work:
-    two buffers at least as long as the stack, or new ones if None."""
-    if work is None:
-        gram = matmul(dagger(stack), stack)
-    else:
-        conj, gram = (w[: len(stack)] for w in work)
-        matmul(np.conjugate(stack, out=conj).swapaxes(-1, -2), stack, out=gram)
+    two complex buffers at least as long as the stack."""
+    conj, gram = (w[: len(stack)] for w in work)
+    matmul(np.conjugate(stack, out=conj).swapaxes(-1, -2), stack, out=gram)
     gram -= np.eye(stack.shape[-1])
     return max_abs(gram)
 
@@ -157,8 +154,10 @@ def require_drift(defect: float, steps: int, what: str) -> None:
 
 
 def require_unitary(stack: np.ndarray, what: str) -> None:
-    """require_drift on max|X^dagger X - I| over a stack of K + 1 matrices, which span K steps."""
-    require_drift(float(_max_over_blocks(stack, unitarity_defect)), len(stack) - 1, what)
+    """require_drift on max|X^dagger X - I| over K + 1 matrices (K steps), via two block buffers."""
+    work = np.empty((2, len(stack[_blocks(stack)[0]])) + stack.shape[1:], dtype=complex)
+    defect = _max_over_blocks(stack, lambda block: unitarity_defect(block, work))
+    require_drift(float(defect), len(stack) - 1, what)
 
 
 def _taylor_degree(x: float) -> int:

@@ -8,6 +8,8 @@ arguments of products across steps, so no 2*pi ambiguities arise in sweeps.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -17,7 +19,7 @@ import numpy as np
 from .closed_form import _require_level
 from .effective import accumulate_trapezoid, build_effective, geometric_phase
 from .errors import NonCyclicWarning
-from .numerics import matmul, max_abs
+from .numerics import _diagonal, matmul, max_abs
 from .propagation import _coefficient_propagators, propagate
 from .spectral import (
     ConnectionMatrix,
@@ -118,7 +120,7 @@ def _transform_frames(
 def parallel_transport(frames: FrameTrajectory, conn: ConnectionMatrix) -> FrameTrajectory:
     """Rephase each level by exp{i int_0^t A_nn dt'} so <v~_n | d/dt v~_n> vanishes."""
     _require_grid(frames, conn.grid)
-    diagonal = np.einsum("knn->kn", conn.values).real
+    diagonal = _diagonal(conn.values).real
     return _transform_frames(frames, accumulate_trapezoid(diagonal, conn.grid.dt), diagonal)
 
 
@@ -144,7 +146,8 @@ def gauge_transform_check(
     The model's frames and the rephased ones take the same steps: connection,
     M, coefficient propagators, states. Each amplitude must come back times
     e^{i alpha_n(0)} only, and every holonomy unchanged. Returns the largest of
-    each deviation over the levels; ValueError unless one pair per level.
+    each deviation over the levels. ValueError unless one pair per level, each of whose
+    values on the grid is a finite real scalar.
     """
     if len(phase_functions) != spec.dim:
         raise ValueError("one (alpha, alpha_dot) pair per level is required")
@@ -154,10 +157,17 @@ def gauge_transform_check(
         conn = connection(frames)
         return conn, matmul(frames.vectors, _coefficient_propagators(build_effective(frames, conn)))
 
-    frames = build_frames(spec, grid)
     times = grid.times
-    alphas = np.array([[a(t) for a, _ in phase_functions] for t in times])
-    alpha_dots = np.array([[da(t) for _, da in phase_functions] for t in times])
+    alphas, alpha_dots = np.empty((2, len(times), spec.dim))
+    for k, t in enumerate(times):
+        for n, functions in enumerate(phase_functions):
+            for out, function in zip((alphas, alpha_dots), functions):
+                value = function(t)
+                if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                    raise ValueError(f"rephasing of level {n} gave {value!r} at time {t}, "
+                                     "not a finite real scalar")
+                out[k, n] = value
+    frames = build_frames(spec, grid)
     tframes = _transform_frames(frames, alphas, alpha_dots)
     (conn, psi), (tconn, psi_t) = states(frames), states(tframes)
     rays = np.exp(1j * alphas[0])

@@ -180,10 +180,12 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     rotated so the overlap with its predecessor is real and positive
     (continuity gauge).
 
-    Raises AdiabaticaError on non-finite analytic energies, vectors or derivatives or on
-    max|V^dagger V - I| above UNITARITY_RTOL * steps, the drift bound of a propagator
-    over the grid (numerics.require_unitary): a barred_model spec takes its frames
-    from a stored propagator and inherits its drift. NotHermitianError on
+    Raises ValueError unless analytic energies are real of shape (steps+1, N) and
+    vectors and derivatives are (steps+1, N, N), N = spec.dim: as in spec.sample,
+    nothing is broadcast. AdiabaticaError on non-finite analytic energies, vectors or
+    derivatives or on max|V^dagger V - I| above UNITARITY_RTOL * steps, the drift
+    bound of a propagator over the grid (numerics.require_unitary): a barred_model
+    spec takes its frames from a stored propagator and inherits its drift. NotHermitianError on
     non-finite or non-Hermitian samples (from spec.sample), and
     EigenGapTooSmallError when an adjacent-level gap is at most
     1e-10 * max|E_n(t)| (crossings are unsupported) or an overlap
@@ -192,6 +194,11 @@ def build_frames(spec: HamiltonianSpec, grid: TimeGrid) -> FrameTrajectory:
     times = grid.times
     if spec.analytic_frame is not None:
         energies, vectors, derivs = spec.analytic_frame(times)
+        want = [(len(times), spec.dim)] + [(len(times), spec.dim, spec.dim)] * 2
+        got = [np.shape(x) for x in (energies, vectors, derivs)]
+        if got != want or np.iscomplexobj(energies):
+            raise ValueError(f"analytic frame must give real energies and shapes {want}, not "
+                             f"{got} with {np.asarray(energies).dtype} energies")
         if not all(np.isfinite(x).all() for x in (energies, vectors, derivs)):
             raise AdiabaticaError("analytic frame has non-finite energies, vectors or derivatives")
         require_unitary(vectors, "analytic frames not orthonormal")

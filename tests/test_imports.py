@@ -83,6 +83,7 @@ def test_star_import_binds_every_public_name_to_its_module_object():
         "import importlib, adiabatica\n"
         f"modules = [importlib.import_module('adiabatica.' + m) for m in {LIBRARY!r}]\n"
         "public = {n: getattr(m, n) for m in modules for n in m.__all__}\n"
+        "assert sum(len(m.__all__) for m in modules) == len(public), 'a name has two homes'\n"
         "assert adiabatica.__all__ == sorted(public), adiabatica.__all__\n"
         "assert all(globals()[n] is v and getattr(adiabatica, n) is v for n, v in public.items())\n"
     )

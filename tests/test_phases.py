@@ -207,6 +207,25 @@ def test_gauge_check_rejects_a_wrong_pair_count_before_sampling():
             gauge_transform_check(spec, TimeGrid(0.0, 1.0, 16), pairs)
 
 
+@pytest.mark.parametrize("part", [0, 1], ids=["alpha", "alpha_dot"])
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, np.array([0.1, 0.2]), 0.5j], ids=repr
+)
+def test_gauge_check_rejects_a_rephasing_that_is_not_a_finite_real_scalar(part, value):
+    # Before, a NaN or infinite value surfaced as "step phase overflows" after
+    # RuntimeWarnings from exp, and an array failed in numpy broadcasting.
+    params, spec, grid, _, _ = rotating_setup(omega=0.5, steps=64)
+    zero = (lambda t: 0.0, lambda t: 0.0)
+    bad = [lambda t: 0.0, lambda t: 0.0]
+    bad[part] = lambda t: value if t > 1.0 else 0.0
+    first = grid.times[grid.times > 1.0][0]
+    message = rf"rephasing of level 1 gave .* at time {first}, not a finite real scalar"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            gauge_transform_check(spec, grid, [zero, tuple(bad)])
+
+
 def test_gauge_check_zero_phases_is_exact():
     params, spec, grid, _, _ = rotating_setup(omega=0.5, steps=512)
     zero = (lambda t: 0.0, lambda t: 0.0)

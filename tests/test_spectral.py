@@ -129,6 +129,32 @@ def test_non_orthonormal_analytic_frame_raises_a_numerical_error():
     assert build_frames(scaled(1 + 5e-10), grid).grid == grid
 
 
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        lambda e, v, d: (e, v, d[:, :, 0]),  # (K, 2) derivatives broadcast into a wrong r_gap
+        lambda e, v, d: (e[:, 0], v, d),  # (K,) energies
+        lambda *frame: tuple(np.pad(x, [(0, 0)] + [(0, 1)] * (x.ndim - 1)) for x in frame),
+        lambda e, v, d: (e[:-1], v[:-1], d[:-1]),  # one time short
+        lambda e, v, d: (e + 0j, v, d),  # complex energies
+    ],
+    ids=["derivatives (K, 2)", "energies (K,)", "N + 1 levels", "one time short", "complex energies"],
+)
+def test_analytic_frame_of_the_wrong_shape_or_type_raises_value_error(malformed):
+    # Rotating theta = 1, omega = 0.5 over one period at K = 64: as in spec.sample, nothing
+    # is broadcast, so no malformed frame reaches the connection or the criteria.
+    params = RotatingModelParams(mu_B=1.0, theta=1.0, omega=0.5)
+    spec = rotating_model(params)
+    bad = HamiltonianSpec(
+        dim=2,
+        evaluate=spec.evaluate,
+        analytic_frame=lambda times: malformed(*spec.analytic_frame(times)),
+        batched=True,
+    )
+    with pytest.raises(ValueError, match="analytic frame must give real energies and shapes"):
+        build_frames(bad, TimeGrid(0.0, params.period, 64))
+
+
 def test_static_frames_constant():
     grid = TimeGrid(0.0, 5.0, 32)
     frames = build_frames(static_spec(SIGMA_Z), grid)

@@ -15,27 +15,26 @@ at the same seeds and default sizes, on seed 81's random-n16 at K = 512 (where
 most step chunks are finer than the stack's coarsest, so they take a lower
 Taylor degree), and on three systems framed by their models' analytic frames
 (the rotating model as built, the barred model over it and ms_second): 10 per
-tree, run in one subprocess (`python3 tools/cli_diff.py --analyses` with the
-tree on PYTHONPATH), which prints a sha256 digest of every array they return,
-of the full coefficient propagator stack, of the two maxima of
+tree, run in one subprocess (`python3 tools/cli_diff.py --analyses PATH` with the
+tree on PYTHONPATH). It saves to the .npz file PATH every array they return,
+the full coefficient propagator stack, the two maxima of
 `gauge_transform_check` on each system, under fixed rephasings
-alpha_n(t) = n / 2 + 0.3 sin(t + n), of `parallel_transport` of the system's
-frames (vectors, and derivatives when present), and of
-`ms_inconsistency_probe` at level 0 (chain and residual), and the peak bytes
-tracemalloc traced while `analyse` ran, while `criteria` and
-`coefficient_propagate` (level 0) each ran alone on the system's effective
-Hamiltonian, and while `stepping_propagators` ran alone on the system.
+alpha_n(t) = n / 2 + 0.3 sin(t + n), `parallel_transport` of the system's
+frames (vectors, and derivatives when present), and `ms_inconsistency_probe`
+at level 0 (chain and residual). It prints as JSON the peak bytes tracemalloc
+traced while `analyse` ran, while `criteria` and `coefficient_propagate`
+(level 0) each ran alone on the system's effective Hamiltonian, and while
+`stepping_propagators` ran alone on the system.
 
-Prints the runs that differ, the analyses whose arrays differ, and both
-counts; exits 1 when any differ. It also prints each analysis's traced peaks
-in both trees ("peak OLD → NEW MiB", "criteria peak OLD → NEW MiB",
+Prints the runs that differ, the analyses whose arrays differ bit for bit, each
+differing array with its max |Δ| (or both shapes), and both counts; exits 1 when
+any differ. It also prints each analysis's traced peaks in both trees ("peak OLD → NEW MiB", "criteria peak OLD → NEW MiB",
 "coefficient peak OLD → NEW MiB" and "stepping peak OLD → NEW MiB"), which are
 never counted as differences.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
@@ -81,17 +80,14 @@ def analytic_systems(ad) -> list:
     ]
 
 
-def analyses() -> dict:
-    """{analysis: {"digests": {array: sha256}, "peak": bytes, "criteria peak": bytes,
-    "coefficient peak": bytes, "stepping peak": bytes}} for the lib_systems of every
-    seed and the analytic systems, from the imported tree."""
+def analyses(path: str) -> dict:
+    """{analysis: {"peak": bytes, "criteria peak": bytes, "coefficient peak": bytes,
+    "stepping peak": bytes}} for the lib_systems of every seed and the analytic systems,
+    from the imported tree; their arrays go to the .npz file path, each under the key
+    "<analysis>: <array>"."""
     import adiabatica as ad
     import run as bench_run  # bench/run.py
     from adiabatica import propagation
-
-    def digest(value) -> str:
-        a = np.ascontiguousarray(value)
-        return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
 
     def rephasing(n: int) -> tuple:
         return (lambda t: n / 2 + 0.3 * np.sin(t + n), lambda t: 0.3 * np.cos(t + n))
@@ -99,7 +95,7 @@ def analyses() -> dict:
     systems = [(f"seed {seed}", s) for seed in SEEDS for s in workloads.lib_systems(seed, ad)]
     systems += [("seed 81 K=512", workloads.lib_systems(81, ad, 512)[2])]
     systems += [("analytic", s) for s in analytic_systems(ad)]
-    out = {}
+    out, saved = {}, {}
     for label, system in systems:
         analysis, peak = traced(lambda: bench_run.analyse(ad, system))
         pairs = [rephasing(n) for n in range(system.spec.dim)]
@@ -132,14 +128,15 @@ def analyses() -> dict:
         }
         if transported.vector_derivatives is not None:
             arrays["transported derivatives"] = transported.vector_derivatives
-        digests = {k: digest(v) for k, v in arrays.items()}
-        out[f"{label} {system.name}"] = {
-            "digests": digests,
+        label = f"{label} {system.name}"
+        saved.update({f"{label}: {k}": np.asarray(v) for k, v in arrays.items()})
+        out[label] = {
             "peak": peak,
             "criteria peak": criteria_peak,
             "coefficient peak": coefficient_peak,
             "stepping peak": stepping_peak,
         }
+    np.savez(path, **saved)
     return out
 
 
@@ -180,22 +177,41 @@ def cli_differences(old_src: str, new_src: str) -> int:
     return differ
 
 
+def difference(a: np.ndarray | None, b: np.ndarray | None) -> str | None:
+    """None when a and b hold the same bits, dtype and shape; else how they differ."""
+    if a is None or b is None:
+        return "missing in the " + ("old" if a is None else "new") + " tree"
+    if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+        return None
+    if a.shape != b.shape:
+        return f"shape {a.shape} → {b.shape}"
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf reads NaN
+        return f"max |Δ| {np.max(np.abs(a - b), initial=0.0):.3g}"
+
+
 def analysis_differences(old_src: str, new_src: str) -> int:
-    digests = []
-    for src in (old_src, new_src):
-        code, stdout, stderr = run(src, [__file__, "--analyses"])
-        if code != 0:
-            print(f"analyses failed on {src}:\n{stderr.decode(errors='replace')}")
-        digests.append(json.loads(stdout) if code == 0 else {})
-    old, new = digests
+    peaks, arrays = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for src in (old_src, new_src):
+            path = Path(tmp) / f"{len(peaks)}.npz"
+            code, stdout, stderr = run(src, [__file__, "--analyses", str(path)])
+            peaks.append(json.loads(stdout) if code == 0 else {})
+            if code != 0:
+                print(f"analyses failed on {src}:\n{stderr.decode(errors='replace')}")
+                arrays.append({})
+                continue
+            with np.load(path) as saved:
+                arrays.append(dict(saved))
+    old, new = peaks
     labels = list(dict.fromkeys([*old, *new]))
-    differ = 0
-    for label in labels:
-        a, b = (side.get(label, {}).get("digests", {}) for side in (old, new))
-        if a != b:
-            differ += 1
-            parts = [k for k in {**a, **b} if a.get(k) != b.get(k)]
-            print(f"differs: {label}: {', '.join(parts)}")
+    differ = {}
+    for key in dict.fromkeys([*arrays[0], *arrays[1]]):
+        why = difference(arrays[0].get(key), arrays[1].get(key))
+        if why:
+            label, name = key.split(": ", 1)
+            differ.setdefault(label, []).append(f"{name} ({why})")
+    for label, parts in differ.items():
+        print(f"differs: {label}: {', '.join(parts)}")
     for label in labels:  # informational: memory is no output
         for peak in ("peak", "criteria peak", "coefficient peak", "stepping peak"):
             old_mib, new_mib = (
@@ -203,8 +219,8 @@ def analysis_differences(old_src: str, new_src: str) -> int:
                 for side in (old, new)
             )
             print(f"{peak} {old_mib} → {new_mib} MiB: {label}")
-    print(f"{differ} of {len(labels)} library analyses differ")
-    return differ
+    print(f"{len(differ)} of {len(labels)} library analyses differ")
+    return len(differ)
 
 
 def main(old_src: str, new_src: str) -> int:
@@ -214,8 +230,8 @@ def main(old_src: str, new_src: str) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--analyses"]:
-        print(json.dumps(analyses()))
+    if len(sys.argv) == 3 and sys.argv[1] == "--analyses":
+        print(json.dumps(analyses(sys.argv[2])))
     elif len(sys.argv) != 3:
         sys.exit(__doc__)
     else:
